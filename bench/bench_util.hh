@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared helpers for the paper-reproduction benches: paper-style
- * table printing and windowed request issuing.
+ * table printing, windowed request issuing and result gates.
  *
  * Every bench binary regenerates one table or figure of the paper.
  * It runs its simulation(s), registers the headline metrics as
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -61,6 +62,62 @@ writeJson(const std::string &path, const JsonCounters &counters)
     if (!ok)
         std::fprintf(stderr, "bench: short write to %s\n",
                      path.c_str());
+    return ok;
+}
+
+/** Comparison of a Check. */
+enum class Cmp
+{
+    Eq,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+};
+
+/**
+ * One gate on a bench's named results: value(lhs) cmp bound, or,
+ * when @p rhs names a second result, value(lhs) cmp bound *
+ * value(rhs) (e.g. a window p99 within 3x of steady state).
+ */
+struct Check
+{
+    std::string lhs;
+    Cmp cmp;
+    double bound;
+    std::string rhs = {};
+};
+
+/**
+ * Evaluate @p c over @p values and print one "ok"/"FAIL" line. A
+ * name missing from @p values fails the check. Returns whether it
+ * held.
+ */
+inline bool
+holds(const Check &c, const std::map<std::string, double> &values)
+{
+    static const char *const ops[] = {"==", "<", "<=", ">", ">="};
+    auto l = values.find(c.lhs);
+    auto r = c.rhs.empty() ? values.end() : values.find(c.rhs);
+    bool ok = false;
+    if (l != values.end() && (c.rhs.empty() || r != values.end())) {
+        double a = l->second;
+        double b = c.bound * (c.rhs.empty() ? 1.0 : r->second);
+        switch (c.cmp) {
+        case Cmp::Eq: ok = a == b; break;
+        case Cmp::Lt: ok = a < b; break;
+        case Cmp::Le: ok = a <= b; break;
+        case Cmp::Gt: ok = a > b; break;
+        case Cmp::Ge: ok = a >= b; break;
+        }
+    }
+    std::printf("%-4s %s %g %s %g", ok ? "ok" : "FAIL", c.lhs.c_str(),
+                l == values.end() ? NAN : l->second,
+                ops[int(c.cmp)], c.bound);
+    if (!c.rhs.empty())
+        std::printf(" x %s %g", c.rhs.c_str(),
+                    r == values.end() ? NAN : r->second);
+    std::printf("\n");
     return ok;
 }
 

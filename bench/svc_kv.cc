@@ -3,46 +3,51 @@
  * KV service bench: throughput vs tail latency over the global
  * flash address space (the serving scenario behind figure 17's
  * RAMCloud comparison, with the ROADMAP's 20-node ring as the
- * headline configuration).
+ * headline configuration), and the same service under faults.
  *
- * Four experiments, all YCSB-style 95/5 read/write over 8 KB
- * flash pages with 256-byte values, replication R=2 (quorum-acked
- * writes, W=1 by default / read-one):
- *  - scaling: closed-loop throughput and p50/p99/p99.9 at 4, 8 and
- *    20 nodes (clients scale with nodes; throughput must scale
- *    monotonically);
- *  - skew: Zipfian theta sweep plus uniform at 8 nodes, run both
- *    with and without the hot-key read cache (hot keys concentrate
- *    on few shards; validated cache hits + read coalescing + read
- *    spreading are what keep p99 flat);
- *  - open loop: Poisson arrivals below saturation at 8 nodes,
- *    where queueing delay becomes visible in the tail;
- *  - write quorum: W=1 vs W=2 at 20 nodes with read/write p99
- *    attribution, the repair-lag high-water (max client-acked puts
- *    simultaneously outstanding on straggler replicas), and a
- *    post-run anti-entropy sweep confirming zero divergence.
+ * Every scenario is one row of table(): its cluster shape, its
+ * KvParams / WorkloadParams, a step schedule (measured phases, node
+ * kill + rebuild, ring join, flash aging, a write fault, the
+ * anti-entropy sweep, a read-back), the BENCH_kv.json fields it
+ * exports and the checks it must pass. One runner (runRow) builds
+ * every row's cluster and one phase cutter (Cutter) measures every
+ * phase, so a check holds at whatever size its row runs. The rows,
+ * all YCSB-style over R=2 replicas with quorum-acked W=1 writes
+ * unless they say otherwise:
+ *  - scaling: 95/5 closed loop, Zipf 0.99, at 4, 8, 20 and 100
+ *    nodes (throughput must grow monotonically; 100 nodes must
+ *    clear 10M ops/s);
+ *  - skew: uniform and rising Zipf theta at 8 nodes, with and
+ *    without the hot-key read cache;
+ *  - write quorum: W=1 vs W=2 at 20 nodes (the W=1 write tail must
+ *    stay within 1.6x of the read tail);
+ *  - open loop: Poisson arrivals below saturation at 8 nodes;
+ *  - traced: the headline config with 1-in-16 request tracing;
+ *    sampled span trees must telescope exactly;
+ *  - membership: a node crashes mid-phase and is rebuilt under
+ *    load; a standby node joins a serving ring;
+ *  - aged flash: a pre-worn card at 80-90% occupancy
+ *    (docs/aging.md);
+ *  - quorum fault (smoke only): W=1 overwrites while one node fails
+ *    every NAND program.
  *
- * Emits BENCH_kv.json. Acceptance: the 20-node run sustains
- * >= 100k ops/s, scaling is monotone 4 -> 8 -> 20, the cached
- * hot-shard p99 stays several-fold under the uncached one, and
- * W=1 write p99 sits well under the W=2 write-all tail.
- *
- * `--write-quorum W` overrides the default W=1 for the scaling /
- * skew / open-loop sections (the W sweep always runs both).
- *
- * `--smoke` runs one tiny hot-key config end to end (no JSON);
- * `--smoke-quorum` runs the quorum fault-injection scenario (W=1
- * straggler failure healed by a repair sweep). Both are the
- * sanitizer-preset CI gates.
+ * `svc_kv` runs the full rows and writes BENCH_kv.json;
+ * `svc_kv --smoke` runs the small rows (ctest: svc_kv_smoke) and
+ * writes no JSON. `--trace-out PATH` exports the traced row's span
+ * trees as Chrome trace-event JSON for Perfetto. Either mode prints
+ * every check and exits 1 if any failed.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <cstdio>
+#include <functional>
+#include <initializer_list>
+#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -55,8 +60,13 @@
 #include "workload/workload.hh"
 
 using namespace bluedbm;
+using bench::Check;
+using bench::Cmp;
 
 namespace {
+
+/** Named results of one row, without the row prefix. */
+using Values = std::map<std::string, double>;
 
 /** Mid-size card: 1 GB (8 buses x 2 chips x 128 blocks x 64 pages
  * of 8 KB) -- big enough that the cleaner stays idle, small enough
@@ -72,640 +82,6 @@ kvGeometry()
     g.pageSize = 8192;
     return g;
 }
-
-/** Per-stage p99 attribution cut from the always-on kv.stage.*
- * histograms: where a measured phase's tail latency was spent. */
-struct StageTails
-{
-    double admissionP99us = 0.0; //!< window-slot wait at the service
-    double netP99us = 0.0;       //!< network round trip minus service
-    double shardP99us = 0.0;     //!< shard service (fs + memtable)
-    double flashQueueP99us = 0.0; //!< read-class flash queueing
-    double nandP99us = 0.0;       //!< read-class NAND service
-};
-
-/**
- * Phase cutter over the always-on stage histograms: copy at phase
- * start, subtract at phase end (LatencyHistogram::subtract), so the
- * same five histograms yield steady / crash-window / handoff tails
- * without per-phase plumbing in the serving path.
- */
-class StageProbe
-{
-  public:
-    explicit StageProbe(sim::Simulator &sim)
-        : adm_(&sim.metrics().histogram("kv.stage.admission")),
-          net_(&sim.metrics().histogram("kv.stage.net")),
-          shard_(&sim.metrics().histogram("kv.stage.shard")),
-          flashQ_(&sim.metrics().histogram("kv.stage.flash_queue",
-                                           {{"class", "read"}})),
-          nand_(&sim.metrics().histogram("kv.stage.nand",
-                                         {{"class", "read"}}))
-    {
-        rebase();
-    }
-
-    /** Start a fresh phase window (e.g. after preload). */
-    void
-    rebase()
-    {
-        baseAdm_ = *adm_;
-        baseNet_ = *net_;
-        baseShard_ = *shard_;
-        baseFlashQ_ = *flashQ_;
-        baseNand_ = *nand_;
-    }
-
-    /** Tails recorded since the last rebase(); rebases after. */
-    StageTails
-    cut()
-    {
-        StageTails t;
-        t.admissionP99us = phaseP99(*adm_, baseAdm_);
-        t.netP99us = phaseP99(*net_, baseNet_);
-        t.shardP99us = phaseP99(*shard_, baseShard_);
-        t.flashQueueP99us = phaseP99(*flashQ_, baseFlashQ_);
-        t.nandP99us = phaseP99(*nand_, baseNand_);
-        rebase();
-        return t;
-    }
-
-  private:
-    static double
-    phaseP99(sim::LatencyHistogram cur,
-             const sim::LatencyHistogram &base)
-    {
-        cur.subtract(base);
-        return cur.count() ? sim::ticksToUs(cur.p99()) : 0.0;
-    }
-
-    sim::LatencyHistogram *adm_, *net_, *shard_, *flashQ_, *nand_;
-    sim::LatencyHistogram baseAdm_, baseNet_, baseShard_,
-        baseFlashQ_, baseNand_;
-};
-
-struct RunResult
-{
-    unsigned nodes = 0;
-    double theta = 0.0; //!< 0 = uniform
-    bool openLoop = false;
-    bool cached = true;
-    unsigned quorum = 1; //!< write quorum W
-    double tput = 0.0;  //!< accepted ops per simulated second
-    double p50us = 0.0, p99us = 0.0, p999us = 0.0;
-    double readP99us = 0.0, writeP99us = 0.0; //!< tail attribution
-    double meanUs = 0.0;
-    std::uint64_t rejected = 0;
-    std::uint64_t remoteOps = 0, localOps = 0;
-    std::uint64_t cacheServed = 0, cacheStale = 0;
-    std::uint64_t coalesced = 0, validated = 0;
-    /** Repair lag: max client-acked puts simultaneously
-     * outstanding on straggler replicas. */
-    unsigned repairLag = 0;
-    std::uint64_t divergent = 0;      //!< after the run
-    std::uint64_t divergentSwept = 0; //!< after one repair sweep
-    /** Read-priority suspension engagement across all NAND arrays:
-     * reads that jumped an in-flight program, and program windows
-     * parked + resumed. */
-    std::uint64_t suspendedPrograms = 0, resumedPrograms = 0;
-    /** Where the measured phase's p99 was spent. */
-    StageTails stages;
-    /** Tracing (traced runs only). */
-    std::uint64_t tracesStarted = 0, tracesRetained = 0;
-    std::uint64_t tracesSlow = 0;
-    /** Sampled get traces with a NAND leaf whose top-level span
-     * durations were checked against the root duration. */
-    std::uint64_t tracedChecked = 0;
-    /** Max |sum(top-level spans) - end-to-end| over the checked
-     * traces, in microseconds (one simulated clock: must be 0). */
-    double tracedSpanSumErrUs = 0.0;
-};
-
-/** Default write quorum for the non-sweep sections
- * (--write-quorum). */
-unsigned globalQuorum = 1;
-
-/** --trace-out: Chrome trace-event JSON path (traced runs). */
-std::string gTraceOut;
-/** --slow-trace-us: always-retain threshold for the slow-request
- * log of traced runs (0 = sampling only). */
-std::uint64_t gSlowTraceUs = 0;
-
-/**
- * Span-tree self-check over the retained traces: for every sampled
- * kv.get that reached NAND (the paper's uncached data path), the
- * durations of the root's direct children -- svc.queue then route,
- * which themselves telescope over net.req / shard.get / net.resp --
- * must sum exactly to the root's duration, because every span is
- * clocked by the one simulated clock. Traces that hit a timeout
- * retry (rpc.timeout mark) legitimately hold a straggler span that
- * overlaps the retry and are skipped.
- */
-void
-checkSpanSums(const sim::Tracer &tracer, RunResult &r)
-{
-    for (const auto &t : tracer.retained()) {
-        if (t.spans.empty() ||
-            std::string_view(t.spans[0].name) != "kv.get")
-            continue;
-        bool has_nand = false, timed_out = false;
-        for (const auto &s : t.spans) {
-            if (std::string_view(s.name).substr(0, 5) == "nand.")
-                has_nand = true;
-        }
-        for (const auto &m : t.marks) {
-            if (std::string_view(m.name) == "rpc.timeout")
-                timed_out = true;
-        }
-        if (!has_nand || timed_out)
-            continue;
-        sim::Tick sum = 0;
-        bool open = false;
-        for (std::size_t i = 1; i < t.spans.size(); ++i) {
-            const auto &s = t.spans[i];
-            if (s.parent != 0)
-                continue; // not a direct child of the root
-            if (s.end == 0)
-                open = true;
-            else
-                sum += s.end - s.begin;
-        }
-        if (open)
-            continue;
-        sim::Tick e2e = t.spans[0].end - t.spans[0].begin;
-        sim::Tick err = sum > e2e ? sum - e2e : e2e - sum;
-        r.tracedSpanSumErrUs = std::max(r.tracedSpanSumErrUs,
-                                        sim::ticksToUs(err));
-        ++r.tracedChecked;
-    }
-}
-
-RunResult
-runConfig(unsigned nodes, bool zipfian, double theta, bool open_loop,
-          double arrivals_per_sec, std::uint64_t total_ops,
-          bool cached = true, unsigned write_quorum = 0,
-          bool traced = false)
-{
-    if (write_quorum == 0)
-        write_quorum = globalQuorum;
-    sim::Simulator sim;
-    if (traced) {
-        sim::Tracer::Params tp;
-        tp.enabled = true;
-        tp.sampleEvery = 16;
-        tp.slowThresholdTicks = gSlowTraceUs
-            ? sim::usToTicks(double(gSlowTraceUs))
-            : sim::Tick(0);
-        tp.maxRetained = 4096;
-        sim.tracer().configure(tp);
-    }
-    core::ClusterParams cp;
-    cp.topology = net::Topology::ring(nodes, nodes >= 20 ? 4 : 2);
-    cp.node.geometry = kvGeometry();
-    cp.node.timing = flash::Timing{}; // paper NAND timing
-    cp.node.cards = 2;
-    cp.node.controllerTags = 128;
-    cp.network.endpoints = kv::kvRequiredEndpoints;
-    core::Cluster cluster(sim, cp);
-
-    kv::KvParams kp;
-    kp.replication = 2;
-    kp.writeQuorum = write_quorum;
-    kp.cacheSlots = cached ? 256 : 0;
-    kv::KvRouter router(sim, cluster, kp);
-    kv::KvService service(sim, router);
-
-    workload::WorkloadParams wp;
-    wp.keys = 10000;
-    wp.valueBytes = 256;
-    wp.mix.readFrac = 0.95;
-    wp.zipfian = zipfian;
-    wp.theta = theta;
-    wp.clientsPerNode = 8;
-    wp.pipeline = 4;
-    wp.client.window = 8;
-    wp.client.queueCap = 1024;
-    wp.openLoop = open_loop;
-    wp.arrivalsPerSec = arrivals_per_sec;
-    wp.totalOps = total_ops;
-    wp.seed = 99;
-    workload::WorkloadEngine engine(sim, cluster, router, service,
-                                    wp);
-    StageProbe probe(sim);
-
-    bool loaded = false;
-    engine.preload([&]() { loaded = true; });
-    sim.run();
-    if (!loaded)
-        sim::fatal("kv bench preload did not finish");
-    probe.rebase(); // preload ops are not part of the phase
-    bool finished = false;
-    engine.run([&]() { finished = true; });
-    sim.run();
-    if (!finished)
-        sim::fatal("kv bench run did not finish");
-    StageTails stages = probe.cut();
-
-    // Post-run anti-entropy sweep: fault-free traffic must leave
-    // zero divergence, and the sweep itself must find nothing --
-    // a cheap end-to-end digest-consistency check at scale.
-    std::uint64_t divergent_before = router.divergentWrites();
-    bool swept = false;
-    router.repairSweep([&]() { swept = true; });
-    sim.run();
-    if (!swept)
-        sim::fatal("kv bench repair sweep did not finish");
-
-    RunResult r;
-    r.nodes = nodes;
-    r.theta = zipfian ? theta : 0.0;
-    r.openLoop = open_loop;
-    r.cached = cached;
-    r.quorum = write_quorum;
-    r.stages = stages;
-    if (traced) {
-        r.tracesStarted = sim.tracer().started();
-        r.tracesRetained = sim.tracer().retained().size();
-        r.tracesSlow = sim.tracer().retainedSlow();
-        checkSpanSums(sim.tracer(), r);
-        if (!gTraceOut.empty() &&
-            !sim.tracer().writeChromeJson(gTraceOut))
-            sim::fatal("could not write trace JSON to %s",
-                       gTraceOut.c_str());
-    }
-    r.repairLag = router.maxBackgroundWrites();
-    r.divergent = divergent_before;
-    r.divergentSwept = router.divergentWrites();
-    r.tput = engine.throughputOpsPerSec();
-    const auto &lat = engine.allLatency();
-    r.p50us = sim::ticksToUs(lat.p50());
-    r.p99us = sim::ticksToUs(lat.p99());
-    r.p999us = sim::ticksToUs(lat.p999());
-    r.readP99us = sim::ticksToUs(engine.readLatency().p99());
-    r.writeP99us = sim::ticksToUs(engine.writeLatency().p99());
-    r.meanUs = lat.mean() / double(sim::oneUs);
-    r.rejected = engine.rejectedOps();
-    r.remoteOps = router.remoteOps();
-    r.localOps = router.localOps();
-    r.cacheServed = router.cacheServedGets();
-    r.cacheStale = router.cacheStaleGets();
-    for (unsigned n = 0; n < nodes; ++n) {
-        r.coalesced += router.shard(net::NodeId(n)).coalescedGets();
-        r.validated += router.shard(net::NodeId(n)).validatedGets();
-        for (unsigned c = 0; c < cluster.node(n).cardCount(); ++c) {
-            const auto &nand = cluster.node(n).card(c).nand();
-            r.suspendedPrograms += nand.suspendedPrograms();
-            r.resumedPrograms += nand.resumedPrograms();
-        }
-    }
-    return r;
-}
-
-// ---------------------------------------------------------------- //
-// Elastic membership scenarios: node kill + throttled rebuild, and
-// ring expansion -- both under live closed-loop serving load.
-// ---------------------------------------------------------------- //
-
-/** One measured phase of a membership scenario. */
-struct MemberPhase
-{
-    double tput = 0.0;
-    double p50us = 0.0, p99us = 0.0;
-    std::uint64_t rejected = 0;
-    /** Where this phase's p99 was spent. */
-    StageTails stages;
-    /** Registry-counter activity inside this phase alone
-     * (Snapshot::deltaSince across the phase boundary): detection
-     * timeouts and membership transitions must land in the phase
-     * that caused them, not leak into steady state. */
-    std::uint64_t readTimeouts = 0;
-    std::uint64_t degradedWrites = 0;
-    std::uint64_t suspectTransitions = 0;
-    std::uint64_t deadTransitions = 0;
-};
-
-struct MemberResult
-{
-    MemberPhase steady;  //!< everyone healthy
-    MemberPhase window;  //!< crash detection / join handoff window
-    MemberPhase rebuild; //!< serving while the rebuild streams
-    MemberPhase post;    //!< recovered, everyone back
-    std::uint64_t readTimeouts = 0, retriedReads = 0;
-    std::uint64_t deadTransitions = 0, degradedWrites = 0;
-    std::uint64_t backoffs = 0;
-    std::uint64_t rebuildRepairs = 0; //!< repairs applied on victim
-    /** NAND background-class traffic over the rebuild window: the
-     * recovery stream is accounted as maintenance, not serving. */
-    std::uint64_t bgReads = 0, bgWrites = 0;
-    std::uint64_t movedKeys = 0;  //!< join/leave catch-up pushes
-    std::uint64_t ringEpoch = 0;
-    std::uint64_t divergentFinal = 0; //!< after the final sweep
-};
-
-/** Sum of background-class NAND ops across the cluster. */
-void
-sumBackground(core::Cluster &cluster, unsigned nodes,
-              std::uint64_t &reads, std::uint64_t &writes)
-{
-    reads = writes = 0;
-    for (unsigned n = 0; n < nodes; ++n) {
-        for (unsigned c = 0; c < cluster.node(n).cardCount(); ++c) {
-            const auto &nand = cluster.node(n).card(c).nand();
-            reads += nand.backgroundReads();
-            writes += nand.backgroundWrites();
-        }
-    }
-}
-
-/**
- * Fail-stop crash of one node under 20-node-class Zipfian serving
- * load, then a Background-priority rebuild, across four measured
- * phases: steady, kill window (the crash lands mid-phase, so
- * detection timeouts and failover retries are inside the
- * measurement), rebuild window (the anti-entropy stream runs under
- * live load from the surviving clients), and recovered. A final
- * quiesced sweep must report zero divergence.
- *
- * @p tight uses sanitizer-friendly detection knobs so the smoke
- * variant spends milliseconds, not simulated seconds.
- */
-MemberResult
-runKillRebuild(unsigned nodes, std::uint64_t phase_ops, bool tight)
-{
-    sim::Simulator sim;
-    core::ClusterParams cp;
-    cp.topology = net::Topology::ring(nodes, nodes >= 20 ? 4 : 2);
-    cp.node.geometry = kvGeometry();
-    cp.node.timing = flash::Timing{};
-    cp.node.cards = 2;
-    cp.node.controllerTags = 128;
-    cp.network.endpoints = kv::kvRequiredEndpoints;
-    core::Cluster cluster(sim, cp);
-
-    kv::KvParams kp;
-    kp.replication = 2;
-    kp.writeQuorum = 1;
-    kp.cacheSlots = 256;
-    if (tight) {
-        kp.readTimeoutUs = 1000;
-        kp.writeTimeoutUs = 4000;
-        kp.suspectAfter = 2;
-        kp.deadGraceUs = 2000;
-    }
-    kv::KvRouter router(sim, cluster, kp);
-    kv::KvService service(sim, router);
-
-    workload::WorkloadParams wp;
-    wp.keys = 10000;
-    wp.valueBytes = 256;
-    wp.mix.readFrac = 0.95;
-    wp.zipfian = true;
-    wp.theta = 0.99;
-    wp.clientsPerNode = 8;
-    wp.pipeline = 4;
-    wp.client.window = 8;
-    wp.client.queueCap = 1024;
-    wp.honorRetryAfter = true;
-    wp.totalOps = phase_ops;
-    wp.seed = 99;
-    workload::WorkloadEngine engine(sim, cluster, router, service,
-                                    wp);
-
-    StageProbe probe(sim);
-    bool loaded = false;
-    engine.preload([&]() { loaded = true; });
-    sim.run();
-    if (!loaded)
-        sim::fatal("kill bench preload did not finish");
-    probe.rebase();
-    auto base = sim.metrics().snapshot();
-
-    auto snap = [&]() {
-        MemberPhase p;
-        p.tput = engine.throughputOpsPerSec();
-        p.p50us = sim::ticksToUs(engine.allLatency().p50());
-        p.p99us = sim::ticksToUs(engine.allLatency().p99());
-        p.rejected = engine.rejectedOps();
-        p.stages = probe.cut();
-        // Phase-scoped counter deltas: the membership counters are
-        // cumulative, so each phase owns exactly the activity
-        // between two snapshots.
-        auto delta = sim.metrics().snapshot().deltaSince(base);
-        p.readTimeouts = delta.total("kv.router.read_timeouts");
-        p.degradedWrites = delta.total("kv.router.degraded_writes");
-        p.suspectTransitions =
-            delta.total("kv.router.suspect_transitions");
-        p.deadTransitions =
-            delta.total("kv.router.dead_transitions");
-        base = sim.metrics().snapshot();
-        return p;
-    };
-    auto phase = [&](const char *name) {
-        bool done = false;
-        engine.runPhase(phase_ops, [&]() { done = true; });
-        sim.run();
-        if (!done)
-            sim::fatal("kill bench %s phase did not finish", name);
-        return snap();
-    };
-
-    MemberResult r;
-    r.steady = phase("steady");
-
-    // The crash lands mid-phase: the window measurement contains
-    // the victim's dying in-flight ops, the detection timeouts,
-    // the failover retries and the degraded-quorum writes.
-    const net::NodeId victim(nodes - 1);
-    bool window_done = false;
-    engine.runPhase(phase_ops, [&]() { window_done = true; });
-    engine.pauseNode(victim);
-    router.killNode(victim);
-    sim.run();
-    if (!window_done)
-        sim::fatal("kill bench window phase did not finish");
-    r.window = snap();
-    r.readTimeouts = router.readTimeouts();
-    r.retriedReads = router.retriedReads();
-    r.deadTransitions = router.deadTransitions();
-    r.degradedWrites = router.degradedWrites();
-    if (router.member(victim) != kv::MemberState::Dead)
-        sim::fatal("victim not detected dead by end of window");
-
-    // Restart + rebuild under live load: the recovery stream rides
-    // flash Priority::Background while the surviving clients keep
-    // serving; the victim's own clients return when it does.
-    std::uint64_t bg_reads0 = 0, bg_writes0 = 0;
-    sumBackground(cluster, nodes, bg_reads0, bg_writes0);
-    router.reviveNode(victim);
-    bool rebuilt = false;
-    router.rebuildNode(victim, [&]() {
-        rebuilt = true;
-        engine.resumeNode(victim);
-    });
-    bool rebuild_done = false;
-    engine.runPhase(phase_ops, [&]() { rebuild_done = true; });
-    sim.run();
-    if (!rebuilt || !rebuild_done)
-        sim::fatal("kill bench rebuild phase did not finish");
-    r.rebuild = snap();
-    r.rebuildRepairs =
-        router.shard(victim).repairsApplied();
-    std::uint64_t bg_reads1 = 0, bg_writes1 = 0;
-    sumBackground(cluster, nodes, bg_reads1, bg_writes1);
-    r.bgReads = bg_reads1 - bg_reads0;
-    r.bgWrites = bg_writes1 - bg_writes0;
-    if (router.member(victim) != kv::MemberState::Live)
-        sim::fatal("victim not live after rebuild");
-
-    // Recovered: the full client population serves again.
-    r.post = phase("post");
-    r.backoffs = engine.backoffs();
-
-    // Quiesced final sweep: the crash window's divergence must be
-    // fully healed.
-    bool swept = false;
-    router.repairSweep([&]() { swept = true; });
-    sim.run();
-    if (!swept)
-        sim::fatal("kill bench final sweep did not finish");
-    r.divergentFinal = router.divergentWrites();
-    return r;
-}
-
-/**
- * Ring expansion under live load: @p nodes serving (cluster built
- * with one extra Standby node and KvParams::activeNodes), the join
- * issued mid-phase so the dual-write handoff, Background catch-up
- * sweep and atomic flip all land inside the window measurement.
- */
-MemberResult
-runExpand(unsigned nodes, std::uint64_t phase_ops, bool tight)
-{
-    sim::Simulator sim;
-    core::ClusterParams cp;
-    cp.topology =
-        net::Topology::ring(nodes + 1, nodes + 1 >= 20 ? 4 : 2);
-    cp.node.geometry = kvGeometry();
-    cp.node.timing = flash::Timing{};
-    cp.node.cards = 2;
-    cp.node.controllerTags = 128;
-    cp.network.endpoints = kv::kvRequiredEndpoints;
-    core::Cluster cluster(sim, cp);
-
-    kv::KvParams kp;
-    kp.replication = 2;
-    kp.writeQuorum = 1;
-    kp.cacheSlots = 256;
-    kp.activeNodes = nodes; // the last node starts Standby
-    // Throttle the catch-up stream harder than the anti-entropy
-    // default: the handoff moves a large slice of the key space
-    // while every node keeps serving, and a wide-open chunk eats
-    // the controller tags foreground reads need.
-    kp.repairChunk = 16;
-    if (tight) {
-        kp.readTimeoutUs = 1000;
-        kp.writeTimeoutUs = 4000;
-        kp.suspectAfter = 2;
-        kp.deadGraceUs = 2000;
-    }
-    kv::KvRouter router(sim, cluster, kp);
-    kv::KvService service(sim, router);
-
-    workload::WorkloadParams wp;
-    wp.keys = 10000;
-    wp.valueBytes = 256;
-    wp.mix.readFrac = 0.95;
-    wp.zipfian = true;
-    wp.theta = 0.99;
-    wp.clientsPerNode = 8;
-    wp.clientNodes = nodes; // no sessions on the standby node
-    wp.pipeline = 4;
-    wp.client.window = 8;
-    wp.client.queueCap = 1024;
-    wp.honorRetryAfter = true;
-    wp.totalOps = phase_ops;
-    wp.seed = 99;
-    workload::WorkloadEngine engine(sim, cluster, router, service,
-                                    wp);
-
-    StageProbe probe(sim);
-    bool loaded = false;
-    engine.preload([&]() { loaded = true; });
-    sim.run();
-    if (!loaded)
-        sim::fatal("expand bench preload did not finish");
-    probe.rebase();
-    auto base = sim.metrics().snapshot();
-
-    auto snap = [&]() {
-        MemberPhase p;
-        p.tput = engine.throughputOpsPerSec();
-        p.p50us = sim::ticksToUs(engine.allLatency().p50());
-        p.p99us = sim::ticksToUs(engine.allLatency().p99());
-        p.rejected = engine.rejectedOps();
-        p.stages = probe.cut();
-        auto delta = sim.metrics().snapshot().deltaSince(base);
-        p.readTimeouts = delta.total("kv.router.read_timeouts");
-        p.degradedWrites = delta.total("kv.router.degraded_writes");
-        p.suspectTransitions =
-            delta.total("kv.router.suspect_transitions");
-        p.deadTransitions =
-            delta.total("kv.router.dead_transitions");
-        base = sim.metrics().snapshot();
-        return p;
-    };
-    auto phase = [&](const char *name) {
-        bool done = false;
-        engine.runPhase(phase_ops, [&]() { done = true; });
-        sim.run();
-        if (!done)
-            sim::fatal("expand bench %s phase did not finish",
-                       name);
-        return snap();
-    };
-
-    MemberResult r;
-    r.steady = phase("steady");
-
-    // The join lands mid-phase; sim.run() drains both the phase
-    // and the handoff, whichever finishes first.
-    const net::NodeId joiner(nodes);
-    bool joined = false;
-    bool window_done = false;
-    engine.runPhase(phase_ops, [&]() { window_done = true; });
-    router.joinNode(joiner, [&]() { joined = true; });
-    sim.run();
-    if (!window_done || !joined)
-        sim::fatal("expand bench join window did not finish");
-    r.window = snap();
-    if (router.member(joiner) != kv::MemberState::Live)
-        sim::fatal("joiner not live after handoff");
-    r.readTimeouts = router.readTimeouts();
-    r.retriedReads = router.retriedReads();
-    r.degradedWrites = router.degradedWrites();
-    r.movedKeys = router.movedKeys();
-    r.ringEpoch = router.ringEpoch();
-    if (router.shard(joiner).keyCount() == 0)
-        sim::fatal("joiner holds no keys after handoff");
-
-    // Expanded: the new node is a full read/write replica.
-    r.post = phase("post");
-    r.backoffs = engine.backoffs();
-
-    bool swept = false;
-    router.repairSweep([&]() { swept = true; });
-    sim.run();
-    if (!swept)
-        sim::fatal("expand bench final sweep did not finish");
-    r.divergentFinal = router.divergentWrites();
-    return r;
-}
-
-// ---------------------------------------------------------------- //
-// Aged-flash scenario: wear-driven bit errors, the read-retry +
-// poison + replica-heal ladder, endurance-driven block retirement
-// and capacity pressure -- all under live serving load.
-// ---------------------------------------------------------------- //
 
 /** Tiny card for the aging runs: 8 MB (2 buses x 1 chip x 32
  * blocks of 16 x 8 KB pages), so a few thousand puts reach 80%
@@ -749,152 +125,286 @@ constexpr std::uint32_t agedBulkWear = agedEraseLimit - 600;
  * manufacture. */
 constexpr std::uint32_t agedMarkedPerBus = 2;
 
-/** One measured serving phase of the aging scenario. */
-struct AgePhase
+/** One step of a row's schedule. */
+enum class Op
 {
-    double tput = 0.0;
-    double p50us = 0.0, p99us = 0.0;
-    std::uint64_t rejected = 0;
+    Run,       //!< a measured phase
+    Kill,      //!< measured phase; the last node crashes as it starts
+    Rebuild,   //!< revive the crashed node, rebuild it at Background
+               //!< priority under a measured phase
+    Join,      //!< measured phase; the standby node joins as it starts
+    Age,       //!< pre-age every card, arm wear curve + read retries
+    FaultPuts, //!< overwrite every key while the last node fails
+               //!< every NAND program
+    Sweep,     //!< anti-entropy, then record the settled state
+    ReadBack,  //!< read every key from every node
 };
 
-struct AgeResult
+struct Step
 {
-    AgePhase fresh; //!< wear model off, GC already active
-    AgePhase aged;  //!< same load over the pre-aged array
-    std::uint64_t keys = 0;
-    double utilization = 0.0; //!< measured occupied/usable pages
-    /** NAND-level error-model activity (aged phase onward). */
-    std::uint64_t bitsCorrected = 0, uncorrectablePages = 0;
-    /** FlashServer read-retry ladder. */
-    std::uint64_t retriedReads = 0, retrySuccesses = 0,
-        retryFailures = 0;
-    /** LogFs wear management. */
-    std::uint64_t retiredBlocks = 0, poisonedPages = 0;
-    std::uint64_t reserveAlarms = 0, cleanParks = 0;
-    std::uint64_t foregroundAssists = 0, trimmedPages = 0;
-    /** Pages the cleaner moved during the aged phase. */
-    std::uint64_t relocatedPages = 0;
-    /** Aged-phase write amplification: (user page writes + cleaner
-     * page moves) / user page writes. */
-    double writeAmp = 0.0;
-    /** Erase-count distribution across every block of the cluster
-     * after the run (min of per-card mins, mean of p50s, max of
-     * maxes). */
-    std::uint32_t eraseMin = 0, eraseP50 = 0, eraseMax = 0;
-    /** Corruption healing: local uncorrectable gets failed over to
-     * the replica, and the copy pushed back. */
-    std::uint64_t localCorruptions = 0, repairedKeys = 0;
-    std::uint64_t corruptFinal = 0; //!< corrupt keys after sweep
-    std::uint64_t divergent = 0;    //!< before the final sweep
-    std::uint64_t divergentFinal = 0;
-    /** Capacity pressure: puts shed at the red line, and client
-     * backoffs honoring the retry-after hint. */
-    std::uint64_t pressured = 0, backoffs = 0;
-    /** Post-sweep full read-back: every key, one origin each. */
-    std::uint64_t readBack = 0, readBackBad = 0;
+    Op op;
+    const char *phase = ""; //!< measured phase: its field prefix
+};
+
+/** Steps that run the workload and are cut as a measured phase. */
+bool
+measured(Op op)
+{
+    return op == Op::Run || op == Op::Kill || op == Op::Rebuild ||
+        op == Op::Join;
+}
+
+/** A BENCH_kv.json field: its name after the row prefix, and the
+ * row value it reports (the same name unless aliased). */
+struct Field
+{
+    Field(const char *name) : json(name), from(name) {}
+    Field(std::string name, std::string value)
+        : json(std::move(name)), from(std::move(value))
+    {
+    }
+    std::string json, from;
+};
+
+struct Row
+{
+    std::string prefix;   //!< of its JSON fields and check names
+    bool smoke = false;   //!< run by --smoke, else by the full bench
+    unsigned nodes = 4;   //!< serving nodes
+    bool standby = false; //!< plus one Standby node for Op::Join
+    flash::Geometry geometry = kvGeometry();
+    unsigned cards = 2;
+    kv::KvParams kv;
+    workload::WorkloadParams load;
+    sim::Tracer::Params trace; //!< disabled unless a traced row
+    /** Op::Sweep repeats while divergence remains, up to this many
+     * rounds. */
+    unsigned sweepRounds = 1;
+    bool twice = false; //!< run again: every value must repeat
+    std::vector<Step> steps;
+    std::vector<Field> fields;
+    std::vector<Check> checks;
+};
+
+// ---------------------------------------------------------------- //
+// The phase cutter
+// ---------------------------------------------------------------- //
+
+/**
+ * Registry counters every cut records as a delta (value name,
+ * metric): under "<phase>_<name>" for a labeled phase, and summed
+ * over every cut of the row into "<name>" -- so an unlabeled
+ * single-phase row reports whole-run totals, and a multi-phase row
+ * reports both.
+ */
+constexpr std::pair<const char *, const char *> kCounters[] = {
+    {"read_timeouts", "kv.router.read_timeouts"},
+    {"degraded_writes", "kv.router.degraded_writes"},
+    {"dead_transitions", "kv.router.dead_transitions"},
+    {"cache_served", "kv.router.cache_served"},
+    {"cache_stale", "kv.router.cache_stale"},
+    {"moved_keys", "kv.router.moved_keys"},
+    {"repaired_keys", "kv.router.repaired_keys"},
+    {"local_corruptions", "kv.router.local_corruption"},
+    {"pressured", "kv.svc.pressured"},
+    {"coalesced_gets", "kv.shard.coalesced_gets"},
+    {"repairs", "kv.shard.repairs_applied"},
+    {"suspended_programs", "nand.suspended_programs"},
+    {"resumed_programs", "nand.resumed_programs"},
+    {"bg_reads", "nand.background_reads"},
+    {"bg_writes", "nand.background_writes"},
+    {"bits_corrected", "nand.bits_corrected"},
+    {"uncorrectable_pages", "nand.uncorrectable_pages"},
+    {"retried_reads", "flash.read_retries"},
+    {"retry_successes", "flash.read_retry_successes"},
+    {"retry_failures", "flash.read_retry_failures"},
+    {"pages_written", "fs.pages_written"},
+    {"relocated_pages", "fs.pages_cleaned"},
+    {"retired_blocks", "fs.retired_blocks"},
+    {"poisoned_pages", "fs.poisoned_pages"},
+    {"reserve_alarms", "fs.reserve_alarms"},
+    {"foreground_assists", "fs.foreground_assists"},
+    {"clean_parks", "fs.clean_parks"},
+    {"trimmed_pages", "fs.trimmed_pages"},
 };
 
 /**
- * Serve a skewed 50/50 mix at 80-90% occupied capacity, then age
- * the array in place (wear curve on, blocks pre-aged near the
- * endurance limit) and serve the same load again. The aged phase
- * must keep its tail within 3x of fresh while the full ladder runs
- * underneath: raw bit errors rise with block erase counts, SECDED
- * failures climb the FlashServer retry ladder, persistent losses
- * poison pages and fail over to the replica (healed back by
- * repairPut), endurance-tripped blocks retire behind the cleaner,
- * and the capacity red line sheds puts with a retry-after hint.
+ * Closes the segment since the previous cut. Counter deltas come
+ * from registry snapshots (Snapshot::deltaSince); stage tails from
+ * copies of the always-on kv.stage.* histograms
+ * (LatencyHistogram::subtract), so each phase owns exactly the
+ * activity between two cuts; throughput and client latency come
+ * from the workload engine, which resets per phase.
  */
-AgeResult
-runAging(unsigned nodes, std::uint64_t phase_ops)
+class Cutter
 {
-    sim::Simulator sim;
-    core::ClusterParams cp;
-    cp.topology = net::Topology::ring(nodes, 2);
-    flash::Geometry geo = agedGeometry();
-    cp.node.geometry = geo;
-    cp.node.timing = flash::Timing{};
-    cp.node.cards = 1;
-    cp.node.controllerTags = 128;
-    cp.network.endpoints = kv::kvRequiredEndpoints;
-    core::Cluster cluster(sim, cp);
+  public:
+    Cutter(sim::Simulator &sim, const workload::WorkloadEngine &engine,
+           Values &v)
+        : sim_(sim), engine_(engine), v_(v),
+          base_(sim.metrics().snapshot())
+    {
+        auto &m = sim.metrics();
+        stages_ = {
+            {"stage_admission_p99_us",
+             &m.histogram("kv.stage.admission")},
+            {"stage_net_p99_us", &m.histogram("kv.stage.net")},
+            {"stage_shard_p99_us", &m.histogram("kv.stage.shard")},
+            {"stage_flash_queue_p99_us",
+             &m.histogram("kv.stage.flash_queue", {{"class", "read"}})},
+            {"stage_nand_p99_us",
+             &m.histogram("kv.stage.nand", {{"class", "read"}})},
+        };
+        for (Stage &s : stages_)
+            s.base = *s.live;
+    }
 
-    kv::KvParams kp;
-    kp.replication = 2;
-    kp.writeQuorum = 1;
-    // No hot-key cache: the subject is the flash read path, and a
-    // cache hit would mask the very corruption events under test.
-    kp.cacheSlots = 0;
-    kv::KvRouter router(sim, cluster, kp);
-    kv::KvService service(sim, router);
+    /** Record the segment since the last cut under @p phase;
+     * @p is_phase adds the engine's and the stage histograms' view
+     * of a measured phase. */
+    void
+    cut(const std::string &phase, bool is_phase)
+    {
+        auto name = [&](const char *f) {
+            return phase.empty() ? std::string(f) : phase + "_" + f;
+        };
+        auto now = sim_.metrics().snapshot();
+        auto delta = now.deltaSince(base_);
+        base_ = std::move(now);
+        for (const auto &[f, metric] : kCounters) {
+            double d = double(delta.total(metric));
+            if (!phase.empty())
+                v_[name(f)] = d;
+            v_[f] += d;
+        }
+        for (Stage &s : stages_) {
+            sim::LatencyHistogram cur = *s.live;
+            cur.subtract(s.base);
+            s.base = *s.live;
+            if (is_phase)
+                v_[name(s.field)] =
+                    cur.count() ? sim::ticksToUs(cur.p99()) : 0.0;
+        }
+        if (!is_phase)
+            return;
+        const auto &lat = engine_.allLatency();
+        v_[name("tput_ops")] = engine_.throughputOpsPerSec();
+        v_[name("p50_us")] = sim::ticksToUs(lat.p50());
+        v_[name("p99_us")] = sim::ticksToUs(lat.p99());
+        v_[name("p999_us")] = sim::ticksToUs(lat.p999());
+        v_[name("read_p99_us")] =
+            sim::ticksToUs(engine_.readLatency().p99());
+        v_[name("write_p99_us")] =
+            sim::ticksToUs(engine_.writeLatency().p99());
+        v_[name("mean_us")] = lat.mean() / double(sim::oneUs);
+        v_[name("rejected")] = double(engine_.rejectedOps());
+        v_[name("backoffs")] = double(engine_.backoffs());
+        // Write amplification: (user page writes + cleaner page
+        // moves) / user page writes.
+        auto written = delta.total("fs.pages_written");
+        v_[name("write_amp")] = written == 0 ? 0.0
+            : double(written + delta.total("fs.pages_cleaned")) /
+                double(written);
+    }
 
-    // Arm the read-retry ladder up front; it is inert while the
-    // error model is off, so the fresh phase is unaffected.
-    for (unsigned n = 0; n < nodes; ++n)
-        cluster.node(n).hostServer(0).setReadRetries(2);
-
-    const std::uint64_t cap = std::uint64_t(geo.buses) *
-        geo.chipsPerBus * geo.blocksPerChip * geo.pagesPerBlock *
-        geo.pageSize;
-    const std::uint32_t value_bytes = 2048;
-    // KvShard record framing: 12 bytes of header per value.
-    const std::uint64_t record_bytes = value_bytes + 12;
-    // Live-bytes target. Occupied capacity runs well above it: a
-    // log page holds ~4 records from adjacent keys and stays live
-    // until every one of them is overwritten (dead-byte trim), so
-    // the page-granular cleaner cannot compact sub-page garbage
-    // and the fragmented footprint settles in the 80-90% band the
-    // scenario targets. (Measured occupancy is reported, and
-    // gated, as the run's utilization.)
-    const double liveFrac = 0.62;
-    const std::uint64_t keys =
-        std::uint64_t(double(nodes) * double(cap) * liveFrac) /
-        (kp.replication * record_bytes);
-
-    workload::WorkloadParams wp;
-    wp.keys = keys;
-    wp.valueBytes = value_bytes;
-    wp.mix.readFrac = 0.5; // write-heavy: churn feeds the cleaner
-    wp.zipfian = true;
-    wp.theta = 0.99;
-    wp.clientsPerNode = 4;
-    wp.pipeline = 2;
-    wp.client.window = 8;
-    wp.client.queueCap = 1024;
-    wp.honorRetryAfter = true; // pressure sheds must back off
-    wp.totalOps = phase_ops;
-    wp.seed = 99;
-    workload::WorkloadEngine engine(sim, cluster, router, service,
-                                    wp);
-
-    bool loaded = false;
-    engine.preload([&]() { loaded = true; });
-    sim.run();
-    if (!loaded)
-        sim::fatal("aging bench preload did not finish");
-
-    auto phase = [&](const char *name) {
-        bool done = false;
-        engine.runPhase(phase_ops, [&]() { done = true; });
-        sim.run();
-        if (!done)
-            sim::fatal("aging bench %s phase did not finish", name);
-        AgePhase p;
-        p.tput = engine.throughputOpsPerSec();
-        p.p50us = sim::ticksToUs(engine.allLatency().p50());
-        p.p99us = sim::ticksToUs(engine.allLatency().p99());
-        p.rejected = engine.rejectedOps();
-        return p;
+  private:
+    struct Stage
+    {
+        const char *field;
+        sim::LatencyHistogram *live;
+        sim::LatencyHistogram base = {};
     };
 
-    AgeResult r;
-    r.keys = keys;
-    r.fresh = phase("fresh");
+    sim::Simulator &sim_;
+    const workload::WorkloadEngine &engine_;
+    Values &v_;
+    sim::MetricsRegistry::Snapshot base_;
+    std::vector<Stage> stages_;
+};
 
-    // Age the array in place: wear curve on, every block pre-aged
-    // near the endurance limit, the marked few one erase under it.
-    std::uint64_t written0 = 0, cleaned0 = 0;
+// ---------------------------------------------------------------- //
+// Step helpers
+// ---------------------------------------------------------------- //
+
+/**
+ * Span-tree checks over the retained traces, recorded into @p v:
+ *  - span_checked / span_sum_err_us: for every sampled kv.get that
+ *    reached NAND (the paper's uncached data path), the durations
+ *    of the root's direct children -- svc.queue then route, which
+ *    themselves telescope over net.req / shard.get / net.resp --
+ *    must sum exactly to the root's duration, because every span
+ *    is clocked by the one simulated clock. Traces that hit a
+ *    timeout retry (rpc.timeout mark) legitimately hold a
+ *    straggler span that overlaps the retry and are skipped.
+ *  - complete_traces: traces whose kv.* root holds a svc.queue
+ *    child and reaches a nand.* leaf through the parent links --
+ *    one tree from admission down to the flash chip.
+ */
+void
+traceChecks(const sim::Tracer &tracer, Values &v)
+{
+    std::uint64_t checked = 0, complete = 0;
+    double max_err = 0.0;
+    for (const auto &t : tracer.retained()) {
+        if (t.spans.empty() ||
+            std::string_view(t.spans[0].name).substr(0, 3) != "kv.")
+            continue;
+        bool queued = false, nand = false, timed_out = false;
+        for (const auto &s : t.spans) {
+            if (s.parent == 0 &&
+                std::string_view(s.name) == "svc.queue")
+                queued = true;
+            if (std::string_view(s.name).substr(0, 5) != "nand.")
+                continue;
+            const sim::Tracer::Span *hop = &s;
+            while (hop->parent != sim::Tracer::noParent &&
+                   hop->parent < t.spans.size())
+                hop = &t.spans[hop->parent];
+            nand = nand || hop == &t.spans[0];
+        }
+        if (queued && nand)
+            ++complete;
+        for (const auto &m : t.marks) {
+            if (std::string_view(m.name) == "rpc.timeout")
+                timed_out = true;
+        }
+        if (std::string_view(t.spans[0].name) != "kv.get" || !nand ||
+            timed_out)
+            continue;
+        sim::Tick sum = 0;
+        bool open = false;
+        for (std::size_t i = 1; i < t.spans.size(); ++i) {
+            const auto &s = t.spans[i];
+            if (s.parent != 0)
+                continue; // not a direct child of the root
+            if (s.end == 0)
+                open = true;
+            else
+                sum += s.end - s.begin;
+        }
+        if (open)
+            continue;
+        sim::Tick e2e = t.spans[0].end - t.spans[0].begin;
+        sim::Tick err = sum > e2e ? sum - e2e : e2e - sum;
+        max_err = std::max(max_err, sim::ticksToUs(err));
+        ++checked;
+    }
+    v["span_checked"] = double(checked);
+    v["span_sum_err_us"] = max_err;
+    v["complete_traces"] = double(complete);
+}
+
+/**
+ * Age every node's card in place: wear curve on, every block
+ * pre-aged near the endurance limit (the marked few one erase under
+ * it), and the read-retry ladder armed.
+ */
+void
+ageCards(core::Cluster &cluster, const flash::Geometry &geo)
+{
+    const unsigned nodes = cluster.size();
     for (unsigned n = 0; n < nodes; ++n) {
+        cluster.node(n).hostServer(0).setReadRetries(2);
         auto &nand = cluster.node(n).card(0).nand();
         nand.setWearModel(agedBer0, agedKnee, agedAlpha);
         auto &store = nand.store();
@@ -924,481 +434,638 @@ runAging(unsigned nodes, std::uint64_t phase_ops)
             }
         }
         store.setEraseLimit(agedEraseLimit);
-        written0 += cluster.node(n).fs().pagesWritten();
-        cleaned0 += cluster.node(n).fs().pagesCleaned();
     }
-
-    r.aged = phase("aged");
-
-    std::uint64_t written1 = 0, cleaned1 = 0;
-    for (unsigned n = 0; n < nodes; ++n) {
-        written1 += cluster.node(n).fs().pagesWritten();
-        cleaned1 += cluster.node(n).fs().pagesCleaned();
-    }
-    r.relocatedPages = cleaned1 - cleaned0;
-    if (written1 > written0)
-        r.writeAmp = double((written1 - written0) +
-                            (cleaned1 - cleaned0)) /
-            double(written1 - written0);
-
-    // Quiesced anti-entropy, run to convergence: every page the
-    // wear model destroyed must heal from its replica -- divergence
-    // and corrupt keys drain to zero or data was lost. One round is
-    // not enough at the red line: repair pushes are themselves
-    // appends, so a round's later repairs can shed while the
-    // cleaner digests the churn of its earlier ones; each sweep's
-    // quiesce window lets reclamation catch up before the next.
-    r.divergent = router.divergentWrites();
-    for (unsigned round = 0;
-         round < 16 && router.divergentWrites() > 0; ++round) {
-        bool swept = false;
-        router.repairSweep([&]() { swept = true; });
-        sim.run();
-        if (!swept)
-            sim::fatal("aging bench final sweep did not finish");
-    }
-    r.divergentFinal = router.divergentWrites();
-
-    // Measured capacity utilization: occupied usable pages over
-    // usable pages (retired blocks excluded from both sides),
-    // averaged across nodes -- the fragmented footprint the
-    // cleaner actually contends with, not the a-priori live-bytes
-    // fraction.
-    {
-        const double total = double(geo.buses) * geo.chipsPerBus *
-            geo.blocksPerChip;
-        double occ = 0.0;
-        for (unsigned n = 0; n < nodes; ++n) {
-            const auto &fs = cluster.node(n).fs();
-            double usable = total - double(fs.retiredBlocks());
-            occ += (usable - double(fs.freeBlocks())) / usable;
-        }
-        r.utilization = occ / nodes;
-    }
-
-    std::uint64_t p50sum = 0;
-    for (unsigned n = 0; n < nodes; ++n) {
-        const auto &node = cluster.node(n);
-        auto &nand = cluster.node(n).card(0).nand();
-        r.bitsCorrected += nand.bitsCorrected();
-        r.uncorrectablePages += nand.uncorrectablePages();
-        const auto &hs = cluster.node(n).hostServer(0);
-        r.retriedReads += hs.retriedReads();
-        r.retrySuccesses += hs.retrySuccesses();
-        r.retryFailures += hs.retryFailures();
-        const auto &fs = cluster.node(n).fs();
-        r.retiredBlocks += fs.retiredBlocks();
-        r.poisonedPages += fs.poisonedPages();
-        r.reserveAlarms += fs.reserveAlarms();
-        r.cleanParks += fs.cleanParks();
-        r.foregroundAssists += fs.foregroundAssists();
-        r.trimmedPages += fs.trimmedPages();
-        auto es = nand.store().eraseStats();
-        r.eraseMin = n == 0 ? es.min : std::min(r.eraseMin, es.min);
-        r.eraseMax = std::max(r.eraseMax, es.max);
-        p50sum += es.p50;
-        r.corruptFinal += router.shard(net::NodeId(n))
-                              .corruptKeyCount();
-        (void)node;
-    }
-    r.eraseP50 = std::uint32_t(p50sum / nodes);
-    r.localCorruptions = router.localCorruptions();
-    r.repairedKeys = router.repairedKeys();
-    r.pressured = service.pressureRejects();
-    r.backoffs = engine.backoffs();
-
-    // Full read-back, one origin per key: a key unreadable here --
-    // after retries, failover and the sweep -- was truly lost.
-    // Bounded in flight: an unthrottled burst of 6k+ gets would
-    // saturate the controllers and trip the 2 ms read timeout on
-    // queueing delay alone, reporting healthy keys as failed.
-    {
-        constexpr unsigned window = 64;
-        std::uint64_t bad = 0, reads = 0, next = 0;
-        std::function<void()> issue = [&]() {
-            if (next >= keys)
-                return;
-            kv::Key k = next++;
-            router.get(net::NodeId(k % nodes), k,
-                       [&](flash::PageBuffer, kv::KvStatus st) {
-                ++reads;
-                if (st != kv::KvStatus::Ok)
-                    ++bad;
-                issue();
-            });
-        };
-        for (unsigned i = 0; i < window && i < keys; ++i)
-            issue();
-        sim.run();
-        r.readBack = reads;
-        r.readBackBad = bad;
-    }
-    return r;
 }
-
-std::vector<RunResult> scaling;
-
-/** Scaling entry for @p nodes (fatal if the sweep lacks it). */
-const RunResult &
-scalingAt(unsigned nodes)
-{
-    for (const auto &r : scaling) {
-        if (r.nodes == nodes)
-            return r;
-    }
-    sim::fatal("no %u-node entry in the scaling sweep", nodes);
-}
-
-std::vector<RunResult> skew;
-std::vector<RunResult> skewNoCache;
-std::vector<RunResult> quorumSweep;
-RunResult open_loop_run;
-RunResult traced_run;
-MemberResult killRun;
-MemberResult expandRun;
-AgeResult ageRun;
-
-void
-runAll()
-{
-    // Scaling: the headline. 95/5, Zipfian 0.99, closed loop. The
-    // 100-node point is the cluster-scale target the ladder event
-    // queue and next-hop routing exist for (>= 10M aggregate ops/s).
-    for (unsigned nodes : {4u, 8u, 20u, 100u})
-        scaling.push_back(runConfig(nodes, true, 0.99, false, 0.0,
-                                    3000ull * nodes));
-
-    // Write-quorum sweep at 20 nodes: W=1 (quorum ack, stragglers
-    // in the background) vs W=2 (strict write-all). The write p99
-    // gap is the cost of waiting for the slowest replica.
-    for (unsigned w : {1u, 2u})
-        quorumSweep.push_back(runConfig(20, true, 0.99, false, 0.0,
-                                        60000, true, w));
-
-    // Skew sweep at 8 nodes: uniform, then rising Zipfian theta,
-    // with the hot-key cache on (default) and off (ablation).
-    skew.push_back(runConfig(8, false, 0.0, false, 0.0, 24000));
-    for (double theta : {0.5, 0.8, 0.9, 0.99})
-        skew.push_back(
-            runConfig(8, true, theta, false, 0.0, 24000));
-    skewNoCache.push_back(
-        runConfig(8, false, 0.0, false, 0.0, 24000, false));
-    for (double theta : {0.5, 0.8, 0.9, 0.99})
-        skewNoCache.push_back(
-            runConfig(8, true, theta, false, 0.0, 24000, false));
-
-    // Open loop at 8 nodes: Poisson arrivals, 64 clients x 2000/s
-    // = 128k ops/s offered, well under the closed-loop ceiling.
-    open_loop_run = runConfig(8, true, 0.99, true, 2000.0, 24000);
-
-    // Traced run: the headline config again, smaller, with the
-    // tracer sampling 1-in-16 ops. Every sampled get that reached
-    // NAND must telescope (span sums == e2e); --trace-out exports
-    // the span trees as Chrome trace-event JSON for Perfetto.
-    traced_run = runConfig(20, true, 0.99, false, 0.0, 12000, true,
-                           0, true);
-
-    // Elastic membership at rack scale: one node crashes and is
-    // rebuilt under load; a 21st node joins a 20-node serving ring.
-    killRun = runKillRebuild(20, 30000, false);
-    expandRun = runExpand(20, 30000, false);
-
-    // Aged flash under live load: 4 nodes at 80-90% occupancy, the
-    // wear model switched on mid-run. Small on purpose -- aging is
-    // a per-card phenomenon, not a scale-out one.
-    ageRun = runAging(4, 8000);
-}
-
-void
-printTable()
-{
-    bench::banner("KV service: throughput vs tail latency "
-                  "(R=2, 95/5, 256 B values)");
-    std::printf("%22s %12s %9s %9s %9s %10s\n", "config",
-                "ops/s", "p50(us)", "p99(us)", "p99.9(us)",
-                "remote%");
-    auto row = [](const std::string &name, const RunResult &r) {
-        double remote_frac = 100.0 * double(r.remoteOps) /
-            double(r.remoteOps + r.localOps);
-        std::printf("%22s %12.0f %9.1f %9.1f %9.1f %9.1f%%\n",
-                    name.c_str(), r.tput, r.p50us, r.p99us,
-                    r.p999us, remote_frac);
-    };
-    for (const auto &r : scaling)
-        row(std::to_string(r.nodes) + " nodes zipf0.99", r);
-    auto skew_label = [](const RunResult &r) {
-        return r.theta == 0.0
-            ? std::string("uniform")
-            : "zipf" + std::to_string(r.theta).substr(0, 4);
-    };
-    for (const auto &r : skew)
-        row("8 nodes " + skew_label(r), r);
-    for (const auto &r : skewNoCache)
-        row("8n nocache " + skew_label(r), r);
-    for (const auto &r : quorumSweep)
-        row("20 nodes W=" + std::to_string(r.quorum), r);
-    row("8 nodes open-loop", open_loop_run);
-    for (const auto &r : quorumSweep) {
-        std::printf("W=%u: read p99 %.1fus, write p99 %.1fus, "
-                    "repair lag %u, divergent %llu -> %llu after "
-                    "sweep, %llu suspended / %llu resumed "
-                    "programs\n",
-                    r.quorum, r.readP99us, r.writeP99us,
-                    r.repairLag,
-                    (unsigned long long)r.divergent,
-                    (unsigned long long)r.divergentSwept,
-                    (unsigned long long)r.suspendedPrograms,
-                    (unsigned long long)r.resumedPrograms);
-    }
-    const auto &head = scalingAt(20);
-    std::printf("\nClosed-loop scaling must be monotone: %.0f -> "
-                "%.0f -> %.0f -> %.0f ops/s (targets >= 100k at 20 "
-                "nodes, >= 10M at 100).\nOpen loop: %llu rejected "
-                "at admission of %u offered.\n",
-                scaling[0].tput, scaling[1].tput, scaling[2].tput,
-                scaling[3].tput,
-                (unsigned long long)open_loop_run.rejected, 24000u);
-    std::printf("Hot-key path at 20 nodes: %llu cache-served, "
-                "%llu stale-detected, %llu coalesced, %llu "
-                "validated at the shards.\n",
-                (unsigned long long)head.cacheServed,
-                (unsigned long long)head.cacheStale,
-                (unsigned long long)head.coalesced,
-                (unsigned long long)head.validated);
-
-    bench::banner("Per-stage p99 attribution (us): why the tail "
-                  "moved");
-    std::printf("%22s %10s %8s %8s %8s %8s\n", "config",
-                "admission", "net", "shard", "flashq", "nand");
-    auto srow = [](const std::string &name, const StageTails &s) {
-        std::printf("%22s %10.1f %8.1f %8.1f %8.1f %8.1f\n",
-                    name.c_str(), s.admissionP99us, s.netP99us,
-                    s.shardP99us, s.flashQueueP99us, s.nandP99us);
-    };
-    for (const auto &r : scaling)
-        srow(std::to_string(r.nodes) + " nodes zipf0.99",
-             r.stages);
-    srow("kill: steady", killRun.steady.stages);
-    srow("kill: crash window", killRun.window.stages);
-    srow("join: handoff window", expandRun.window.stages);
-    std::printf("\nTraced run (20 nodes, 1-in-16 sampling): %llu "
-                "ops traced, %llu retained (%llu slow); %llu "
-                "NAND-reaching gets span-sum-checked, max error "
-                "%.3f us (one clock: must be 0).\n",
-                (unsigned long long)traced_run.tracesStarted,
-                (unsigned long long)traced_run.tracesRetained,
-                (unsigned long long)traced_run.tracesSlow,
-                (unsigned long long)traced_run.tracedChecked,
-                traced_run.tracedSpanSumErrUs);
-
-    bench::banner("Elastic membership under live load (20 nodes)");
-    std::printf("%22s %12s %9s %9s %10s\n", "phase", "ops/s",
-                "p50(us)", "p99(us)", "rejected");
-    auto mrow = [](const char *name, const MemberPhase &p) {
-        std::printf("%22s %12.0f %9.1f %9.1f %10llu\n", name,
-                    p.tput, p.p50us, p.p99us,
-                    (unsigned long long)p.rejected);
-    };
-    mrow("kill: steady", killRun.steady);
-    mrow("kill: crash window", killRun.window);
-    mrow("kill: rebuild window", killRun.rebuild);
-    mrow("kill: recovered", killRun.post);
-    mrow("join: steady", expandRun.steady);
-    mrow("join: handoff window", expandRun.window);
-    mrow("join: expanded", expandRun.post);
-    std::printf("crash: %llu timeouts, %llu retried reads, %llu "
-                "dead transitions, %llu degraded writes; rebuild "
-                "applied %llu repairs riding %llu background reads "
-                "/ %llu background writes; divergence after final "
-                "sweep %llu.\n",
-                (unsigned long long)killRun.readTimeouts,
-                (unsigned long long)killRun.retriedReads,
-                (unsigned long long)killRun.deadTransitions,
-                (unsigned long long)killRun.degradedWrites,
-                (unsigned long long)killRun.rebuildRepairs,
-                (unsigned long long)killRun.bgReads,
-                (unsigned long long)killRun.bgWrites,
-                (unsigned long long)killRun.divergentFinal);
-    std::printf("join: %llu keys moved, ring epoch %llu, "
-                "divergence after final sweep %llu.\n",
-                (unsigned long long)expandRun.movedKeys,
-                (unsigned long long)expandRun.ringEpoch,
-                (unsigned long long)expandRun.divergentFinal);
-
-    bench::banner("Aged flash under live load (4 nodes, 80-90% "
-                  "occupied, 50/50 mix)");
-    std::printf("%22s %12s %9s %9s %10s\n", "phase", "ops/s",
-                "p50(us)", "p99(us)", "rejected");
-    auto arow = [](const char *name, const AgePhase &p) {
-        std::printf("%22s %12.0f %9.1f %9.1f %10llu\n", name,
-                    p.tput, p.p50us, p.p99us,
-                    (unsigned long long)p.rejected);
-    };
-    arow("fresh", ageRun.fresh);
-    arow("aged", ageRun.aged);
-    std::printf("wear: %llu bits corrected, %llu uncorrectable "
-                "senses; ladder %llu retries (%llu rescued / %llu "
-                "exhausted); %llu pages poisoned, %llu blocks "
-                "retired, erase counts %u/%u/%u (min/p50/max).\n",
-                (unsigned long long)ageRun.bitsCorrected,
-                (unsigned long long)ageRun.uncorrectablePages,
-                (unsigned long long)ageRun.retriedReads,
-                (unsigned long long)ageRun.retrySuccesses,
-                (unsigned long long)ageRun.retryFailures,
-                (unsigned long long)ageRun.poisonedPages,
-                (unsigned long long)ageRun.retiredBlocks,
-                ageRun.eraseMin, ageRun.eraseP50, ageRun.eraseMax);
-    std::printf("heal: %llu local corruptions failed over, %llu "
-                "keys repaired, divergence %llu -> %llu after the "
-                "sweep (%llu corrupt keys left), read-back %llu/"
-                "%llu bad.\n",
-                (unsigned long long)ageRun.localCorruptions,
-                (unsigned long long)ageRun.repairedKeys,
-                (unsigned long long)ageRun.divergent,
-                (unsigned long long)ageRun.divergentFinal,
-                (unsigned long long)ageRun.corruptFinal,
-                (unsigned long long)ageRun.readBackBad,
-                (unsigned long long)ageRun.readBack);
-    std::printf("capacity: write amplification %.2f (%llu pages "
-                "relocated), %llu trimmed, %llu puts shed at the "
-                "red line (%llu backoffs), %llu foreground "
-                "assists, %llu reserve alarms.\n",
-                ageRun.writeAmp,
-                (unsigned long long)ageRun.relocatedPages,
-                (unsigned long long)ageRun.trimmedPages,
-                (unsigned long long)ageRun.pressured,
-                (unsigned long long)ageRun.backoffs,
-                (unsigned long long)ageRun.foregroundAssists,
-                (unsigned long long)ageRun.reserveAlarms);
-}
-
-void
-BM_KvService(benchmark::State &state)
-{
-    for (auto _ : state) {
-        scaling.clear();
-        skew.clear();
-        skewNoCache.clear();
-        quorumSweep.clear();
-        runAll();
-    }
-    state.counters["tput_20n"] = scalingAt(20).tput;
-    state.counters["p99us_20n"] = scalingAt(20).p99us;
-    state.counters["tput_100n"] = scalingAt(100).tput;
-}
-
-BENCHMARK(BM_KvService)->Iterations(1)->Unit(benchmark::kSecond);
-
-} // namespace
-
-namespace {
 
 /**
- * Quorum fault-injection smoke (CI, sanitizer preset): W=1 puts
- * against a cluster where one node fails every NAND program, so
- * every put with that node as a straggler acks Ok and leaves a
- * divergence -- which one anti-entropy sweep must drain to zero.
- * Returns 0 on success, 1 on any contract violation. No JSON.
+ * Record the settled state after a sweep: divergence, repair lag,
+ * ring epoch, measured flash occupancy (occupied usable blocks over
+ * usable blocks, retired blocks excluded from both -- the fragmented
+ * footprint the cleaner contends with, not the a-priori live-bytes
+ * fraction), the erase-count spread (min of mins, mean of p50s, max
+ * of maxes), keys still marked corrupt, and the trace checks;
+ * exports a traced row's span trees to @p trace_out.
  */
-int
-smokeQuorum()
+void
+settle(const Row &row, sim::Simulator &sim, core::Cluster &cluster,
+       kv::KvRouter &router, Values &v, const std::string &trace_out)
+{
+    v["divergent_final"] = double(router.divergentWrites());
+    v["repair_lag"] = double(router.maxBackgroundWrites());
+    v["ring_epoch"] = double(router.ringEpoch());
+    v["keys"] = double(row.load.keys);
+    // The cuts must account for every counted event: their deltas
+    // sum back to the live counters.
+    double unaccounted = 0.0;
+    for (const auto &[f, metric] : kCounters)
+        unaccounted += std::fabs(
+            v[f] - double(sim.metrics().counterTotal(metric)));
+    v["unaccounted"] = unaccounted;
+
+    const flash::Geometry &g = row.geometry;
+    const double blocks =
+        double(g.buses) * g.chipsPerBus * g.blocksPerChip;
+    const unsigned nodes = cluster.size();
+    double occ = 0.0;
+    std::uint64_t p50sum = 0, corrupt = 0;
+    std::uint32_t emin = ~0u, emax = 0;
+    for (unsigned n = 0; n < nodes; ++n) {
+        const auto &fs = cluster.node(n).fs();
+        double usable = blocks - double(fs.retiredBlocks());
+        occ += (usable - double(fs.freeBlocks())) / usable;
+        for (unsigned c = 0; c < cluster.node(n).cardCount(); ++c) {
+            auto es =
+                cluster.node(n).card(c).nand().store().eraseStats();
+            emin = std::min(emin, es.min);
+            emax = std::max(emax, es.max);
+            p50sum += es.p50;
+        }
+        corrupt += router.shard(net::NodeId(n)).corruptKeyCount();
+    }
+    v["utilization"] = occ / nodes;
+    v["erase_min"] = double(emin);
+    v["erase_p50"] =
+        double(std::uint32_t(p50sum / (nodes * row.cards)));
+    v["erase_max"] = double(emax);
+    v["corrupt_final"] = double(corrupt);
+
+    if (!row.trace.enabled)
+        return;
+    const sim::Tracer &t = sim.tracer();
+    v["started"] = double(t.started());
+    v["retained"] = double(t.retained().size());
+    v["slow"] = double(t.retainedSlow());
+    traceChecks(t, v);
+    if (!trace_out.empty() && !t.writeChromeJson(trace_out))
+        sim::fatal("could not write trace JSON to %s",
+                   trace_out.c_str());
+}
+
+// ---------------------------------------------------------------- //
+// The runner: one cluster builder, one step loop
+// ---------------------------------------------------------------- //
+
+/** Build @p row's cluster, run its steps, return its values. */
+Values
+runRow(const Row &row, const std::string &trace_out)
 {
     sim::Simulator sim;
+    sim.tracer().configure(row.trace);
+    const unsigned size = row.nodes + (row.standby ? 1 : 0);
     core::ClusterParams cp;
-    cp.topology = net::Topology::ring(4, 2);
-    cp.node.geometry = kvGeometry();
-    cp.node.timing = flash::Timing{};
-    cp.node.cards = 2;
+    cp.topology = net::Topology::ring(size, size >= 20 ? 4 : 2);
+    cp.node.geometry = row.geometry;
+    cp.node.timing = flash::Timing{}; // paper NAND timing
+    cp.node.cards = row.cards;
     cp.node.controllerTags = 128;
     cp.network.endpoints = kv::kvRequiredEndpoints;
     core::Cluster cluster(sim, cp);
 
-    kv::KvParams kp;
-    kp.replication = 2;
-    kp.writeQuorum = 1;
-    kp.cacheSlots = 0;
+    // A standby node starts outside the ring and carries no client
+    // sessions until it joins.
+    kv::KvParams kp = row.kv;
+    workload::WorkloadParams wp = row.load;
+    if (row.standby)
+        kp.activeNodes = wp.clientNodes = row.nodes;
     kv::KvRouter router(sim, cluster, kp);
+    kv::KvService service(sim, router);
+    workload::WorkloadEngine engine(sim, cluster, router, service,
+                                    wp);
 
-    const unsigned faulty = 3;
-    const kv::Key keys = 200;
-    unsigned ok = 0;
-    for (kv::Key k = 0; k < keys; ++k) {
-        router.put(net::NodeId(k % 4), k,
-                   workload::WorkloadEngine::makeValue(k, 128),
-                   [&](kv::KvStatus st) {
-            if (st == kv::KvStatus::Ok)
-                ++ok;
-        });
-    }
+    Values v;
+    Cutter cutter(sim, engine, v);
+    auto fail = [&](const char *what) {
+        sim::fatal("%s: %s", row.prefix.c_str(), what);
+    };
+    bool loaded = false;
+    engine.preload([&]() { loaded = true; });
     sim.run();
+    if (!loaded)
+        fail("preload did not finish");
+    cutter.cut("preload", false);
 
-    // Overwrite everything with node `faulty` failing programs.
-    cluster.node(faulty).hostServer(0).setWriteFault(
-        [](const flash::Address &) { return true; });
-    unsigned ok2 = 0;
-    for (kv::Key k = 0; k < keys; ++k) {
-        router.put(net::NodeId(k % 4), k,
-                   workload::WorkloadEngine::makeValue(k ^ 0xff,
-                                                       128),
-                   [&](kv::KvStatus st) {
-            if (st == kv::KvStatus::Ok)
-                ++ok2;
-        });
-    }
-    sim.run();
-    cluster.node(faulty).hostServer(0).setWriteFault(nullptr);
-
-    std::uint64_t divergent = router.divergentWrites();
-    bool swept = false;
-    router.repairSweep([&]() { swept = true; });
-    sim.run();
-
-    std::printf("quorum smoke: %u/%u first puts ok, %u second, "
-                "%llu divergent -> %llu after sweep, %llu repairs "
-                "applied on node %u\n",
-                ok, unsigned(keys), ok2,
-                (unsigned long long)divergent,
-                (unsigned long long)router.divergentWrites(),
-                (unsigned long long)
-                    router.shard(net::NodeId(faulty))
-                        .repairsApplied(),
-                faulty);
-    if (ok != keys) {
-        std::fprintf(stderr, "fault-free puts failed\n");
-        return 1;
-    }
-    if (divergent == 0) {
-        std::fprintf(stderr,
-                     "fault injection produced no divergence\n");
-        return 1;
-    }
-    if (!swept || router.divergentWrites() != 0) {
-        std::fprintf(stderr,
-                     "anti-entropy did not drain divergence\n");
-        return 1;
-    }
-    // Every key must now read the overwrite value from every node.
-    unsigned bad = 0, reads = 0;
-    for (kv::Key k = 0; k < keys; ++k) {
-        for (unsigned origin = 0; origin < 4; ++origin) {
-            router.get(net::NodeId(origin), k,
-                       [&, k](flash::PageBuffer v,
-                              kv::KvStatus st) {
-                ++reads;
-                if (st != kv::KvStatus::Ok ||
-                    v != workload::WorkloadEngine::makeValue(
-                             k ^ 0xff, 128))
-                    ++bad;
+    const net::NodeId last(row.nodes - 1); // crash victim / faulty
+    const net::NodeId joiner(row.nodes);
+    const std::uint64_t keys = wp.keys;
+    bool first = true, faulted = false;
+    for (const Step &s : row.steps) {
+        if (measured(s.op)) {
+            // The membership event lands as the phase starts, so the
+            // phase measures the dying in-flight ops, the detection
+            // timeouts and failover retries, the rebuild stream or
+            // the handoff.
+            bool done = false, event = true;
+            if (s.op == Op::Rebuild) {
+                event = false;
+                router.reviveNode(last);
+                router.rebuildNode(last, [&]() {
+                    event = true;
+                    engine.resumeNode(last); // its clients return
+                });
+            }
+            // The first phase issues the engine's own budget (an
+            // open-loop row has only this one); later ones restart it.
+            if (first)
+                engine.run([&]() { done = true; });
+            else
+                engine.runPhase(wp.totalOps, [&]() { done = true; });
+            first = false;
+            if (s.op == Op::Kill) {
+                engine.pauseNode(last);
+                router.killNode(last);
+            }
+            if (s.op == Op::Join) {
+                event = false;
+                router.joinNode(joiner, [&]() { event = true; });
+            }
+            sim.run();
+            if (!done || !event)
+                fail("phase did not finish");
+            if (s.op == Op::Kill &&
+                router.member(last) != kv::MemberState::Dead)
+                fail("victim not detected dead by end of window");
+            if (s.op == Op::Rebuild &&
+                router.member(last) != kv::MemberState::Live)
+                fail("victim not live after rebuild");
+            if (s.op == Op::Join &&
+                (router.member(joiner) != kv::MemberState::Live ||
+                 router.shard(joiner).keyCount() == 0))
+                fail("joiner not serving after handoff");
+            cutter.cut(s.phase, true);
+        } else if (s.op == Op::Age) {
+            ageCards(cluster, row.geometry);
+        } else if (s.op == Op::FaultPuts) {
+            // W=1 overwrites with one node failing every program:
+            // each acks Ok off the healthy replica and leaves the
+            // faulty one divergent.
+            auto &server = cluster.node(last).hostServer(0);
+            server.setWriteFault(
+                [](const flash::Address &) { return true; });
+            std::uint64_t ok = 0;
+            bench::Window::run(
+                keys, 64,
+                [&](std::uint64_t k, std::function<void()> next) {
+                router.put(net::NodeId(k % row.nodes), k,
+                           workload::WorkloadEngine::makeValue(
+                               k ^ 0xff, wp.valueBytes),
+                           [&ok, next](kv::KvStatus st) {
+                    ok += st == kv::KvStatus::Ok;
+                    next();
+                });
             });
+            sim.run();
+            server.setWriteFault(nullptr);
+            v["fault_puts_ok"] = double(ok);
+            faulted = true;
+        } else if (s.op == Op::Sweep) {
+            // Quiesced anti-entropy. Repeated rounds are for the
+            // aged card at the red line: repair pushes are appends,
+            // so a round's later repairs can shed while the cleaner
+            // digests the churn of its earlier ones; each sweep's
+            // quiesce window lets reclamation catch up.
+            v["divergent"] = double(router.divergentWrites());
+            for (unsigned round = 0; round < row.sweepRounds &&
+                 (round == 0 || router.divergentWrites() > 0);
+                 ++round) {
+                bool swept = false;
+                router.repairSweep([&]() { swept = true; });
+                sim.run();
+                if (!swept)
+                    fail("repair sweep did not finish");
+            }
+            cutter.cut("sweep", false);
+            settle(row, sim, cluster, router, v, trace_out);
+        } else if (s.op == Op::ReadBack) {
+            // Every key from every node, bounded in flight: an
+            // unthrottled burst would trip the read timeout on
+            // queueing delay alone. A key that fails here -- after
+            // retries, failover and the sweep -- was lost; one that
+            // reads Ok with the wrong bytes was silently corrupted.
+            const std::uint64_t reads = keys * row.nodes;
+            std::uint64_t ok = 0, right = 0;
+            bench::Window::run(
+                reads, 64,
+                [&](std::uint64_t i, std::function<void()> next) {
+                kv::Key k = i / row.nodes;
+                router.get(net::NodeId(i % row.nodes), k,
+                           [&, k, next](flash::PageBuffer got,
+                                        kv::KvStatus st) {
+                    ok += st == kv::KvStatus::Ok;
+                    right += st == kv::KvStatus::Ok &&
+                        got == workload::WorkloadEngine::makeValue(
+                                   faulted ? k ^ 0xff : k,
+                                   wp.valueBytes);
+                    next();
+                });
+            });
+            sim.run();
+            v["read_back"] = double(reads);
+            v["read_back_bad"] = double(reads - ok);
+            v["read_back_wrong"] = double(ok - right);
         }
     }
-    sim.run();
-    if (reads != keys * 4 || bad != 0) {
-        std::fprintf(stderr,
-                     "%u/%u post-repair reads wrong\n", bad, reads);
-        return 1;
+    return v;
+}
+
+// ---------------------------------------------------------------- //
+// The scenario table
+// ---------------------------------------------------------------- //
+
+const std::vector<const char *> kStageFields = {
+    "stage_admission_p99_us", "stage_net_p99_us",
+    "stage_shard_p99_us", "stage_flash_queue_p99_us",
+    "stage_nand_p99_us"};
+
+/** Fields of each membership phase. */
+const std::vector<const char *> kMemberFields = {
+    "tput_ops", "p50_us", "p99_us", "read_timeouts",
+    "degraded_writes", "dead_transitions"};
+
+/** @p names under each of @p phases ("steady_tput_ops", ...). */
+std::vector<Field>
+phased(std::initializer_list<const char *> phases,
+       std::vector<const char *> names)
+{
+    names.insert(names.end(), kStageFields.begin(), kStageFields.end());
+    std::vector<Field> out;
+    for (const char *p : phases) {
+        for (const char *n : names) {
+            std::string f = std::string(p) + "_" + n;
+            out.emplace_back(f, f);
+        }
     }
-    return 0;
+    return out;
+}
+
+/** Tracer setup of a traced row: 1-in-16 sampling, and every op
+ * slower than @p slow_us when non-zero (the slow-request log). */
+sim::Tracer::Params
+sampled(double slow_us)
+{
+    sim::Tracer::Params tp;
+    tp.enabled = true;
+    tp.sampleEvery = 16;
+    tp.slowThresholdTicks = sim::usToTicks(slow_us);
+    tp.maxRetained = 4096;
+    return tp;
+}
+
+/** Gates of a traced row. */
+const std::vector<Check> kTraceChecks = {
+    {"started", Cmp::Gt, 0},
+    {"retained", Cmp::Gt, 0},
+    {"span_checked", Cmp::Ge, 1},
+    {"span_sum_err_us", Cmp::Eq, 0}, // one simulated clock
+    {"complete_traces", Cmp::Ge, 1},
+};
+
+/**
+ * The headline serving row: @p nodes on a ring (4 lanes from 20
+ * nodes up), two 1 GB cards each, R=2 / W=1 with a 256-slot hot-key
+ * cache; 95/5 get/put over 10k keys of 256 B, Zipf 0.99, 8
+ * closed-loop clients per node x depth 4; one measured phase of
+ * @p ops, then one anti-entropy sweep that must leave no divergence.
+ */
+Row
+serving(std::string prefix, unsigned nodes, std::uint64_t ops)
+{
+    Row r;
+    r.prefix = std::move(prefix);
+    r.nodes = nodes;
+    r.kv.replication = 2;
+    r.kv.writeQuorum = 1;
+    r.kv.cacheSlots = 256;
+    workload::WorkloadParams &w = r.load;
+    w.keys = 10000;
+    w.valueBytes = 256;
+    w.mix.readFrac = 0.95;
+    w.zipfian = true;
+    w.theta = 0.99;
+    w.clientsPerNode = 8;
+    w.pipeline = 4;
+    w.client.window = 8;
+    w.client.queueCap = 1024;
+    w.totalOps = ops;
+    w.seed = 99;
+    r.steps = {{Op::Run}, {Op::Sweep}};
+    r.checks = {{"divergent_final", Cmp::Eq, 0},
+                {"unaccounted", Cmp::Eq, 0}};
+    return r;
+}
+
+/**
+ * Fail-stop crash under serving load, then a Background-priority
+ * rebuild, across four measured phases: steady, kill window (the
+ * crash lands as it starts), rebuild window (the anti-entropy
+ * stream runs under live load from the surviving clients) and
+ * recovered. The crash window -- not steady state -- must own the
+ * detection timeouts and the dead transition, and hold p99 within
+ * 3x of steady.
+ */
+Row
+killRow(std::string prefix, unsigned nodes, std::uint64_t ops)
+{
+    Row r = serving(std::move(prefix), nodes, ops);
+    r.load.honorRetryAfter = true;
+    r.steps = {{Op::Run, "steady"},
+               {Op::Kill, "window"},
+               {Op::Rebuild, "rebuild"},
+               {Op::Run, "post"},
+               {Op::Sweep}};
+    r.fields = phased({"steady", "window", "rebuild", "post"},
+                      kMemberFields);
+    r.fields.insert(r.fields.end(),
+                    {"read_timeouts", "dead_transitions",
+                     "degraded_writes", "rebuild_repairs",
+                     {"bg_reads", "rebuild_bg_reads"},
+                     {"bg_writes", "rebuild_bg_writes"},
+                     {"backoffs", "post_backoffs"},
+                     "divergent_final"});
+    r.checks.insert(r.checks.end(),
+                    {{"dead_transitions", Cmp::Gt, 0},
+                     {"steady_dead_transitions", Cmp::Eq, 0},
+                     {"window_dead_transitions", Cmp::Gt, 0},
+                     {"window_read_timeouts", Cmp::Gt, 1,
+                      "steady_read_timeouts"},
+                     {"window_p99_us", Cmp::Le, 3, "steady_p99_us"},
+                     // The rebuild rides the Background flash class.
+                     {"rebuild_repairs", Cmp::Gt, 0},
+                     {"rebuild_bg_writes", Cmp::Gt, 0}});
+    return r;
+}
+
+/**
+ * Ring expansion under live load: a standby node joins as the
+ * window phase starts, so the dual-write handoff, the Background
+ * catch-up sweep and the atomic ring flip all land inside it.
+ */
+Row
+expandRow(std::string prefix, unsigned nodes, std::uint64_t ops)
+{
+    Row r = serving(std::move(prefix), nodes, ops);
+    r.standby = true;
+    // Throttle the catch-up stream harder than the anti-entropy
+    // default: the handoff moves a large slice of the key space
+    // while every node keeps serving, and a wide-open chunk eats
+    // the controller tags foreground reads need.
+    r.kv.repairChunk = 16;
+    r.load.honorRetryAfter = true;
+    r.steps = {{Op::Run, "steady"},
+               {Op::Join, "window"},
+               {Op::Run, "post"},
+               {Op::Sweep}};
+    r.fields = phased({"steady", "window", "post"}, kMemberFields);
+    r.fields.insert(r.fields.end(),
+                    {"moved_keys", "ring_epoch", "divergent_final"});
+    r.checks.insert(r.checks.end(),
+                    {{"moved_keys", Cmp::Gt, 0},
+                     {"ring_epoch", Cmp::Eq, 1},
+                     {"window_p99_us", Cmp::Le, 3, "steady_p99_us"}});
+    return r;
+}
+
+/**
+ * Aged flash: serve a skewed 50/50 mix at 80-90% occupied capacity
+ * on 4 nodes, then age the array in place and serve the same load
+ * again. The aged tail must hold within 3x of fresh while the whole
+ * ladder runs underneath: raw bit errors rise with erase counts,
+ * SECDED failures climb the read-retry ladder, persistent losses
+ * poison pages and fail over to the replica (healed back by
+ * repairPut), endurance-tripped blocks retire behind the cleaner,
+ * and the capacity red line sheds puts with a retry-after hint.
+ * Sweeps then run to convergence and every key must read back.
+ */
+Row
+agedRow(std::string prefix, std::uint64_t ops)
+{
+    Row r = serving(std::move(prefix), 4, ops);
+    r.geometry = agedGeometry();
+    r.cards = 1;
+    // No hot-key cache: the subject is the flash read path, and a
+    // cache hit would mask the very corruption events under test.
+    r.kv.cacheSlots = 0;
+    // Live-bytes target: 62% of raw capacity over R=2 replicas of
+    // 2 KB values plus 12 bytes of KvShard record framing. Occupied
+    // capacity runs well above it: a log page holds ~4 records from
+    // adjacent keys and stays live until every one is overwritten
+    // (dead-byte trim), so the page-granular cleaner cannot compact
+    // sub-page garbage and the footprint settles in the 80-90% band
+    // (measured, and gated, as utilization).
+    const flash::Geometry &g = r.geometry;
+    const std::uint64_t cap = std::uint64_t(g.buses) * g.chipsPerBus *
+        g.blocksPerChip * g.pagesPerBlock * g.pageSize;
+    r.load.valueBytes = 2048;
+    r.load.keys = std::uint64_t(double(r.nodes) * double(cap) * 0.62) /
+        (r.kv.replication * (r.load.valueBytes + 12ull));
+    r.load.mix.readFrac = 0.5; // write-heavy: churn feeds the cleaner
+    r.load.clientsPerNode = 4;
+    r.load.pipeline = 2;
+    r.load.honorRetryAfter = true; // pressure sheds must back off
+    r.sweepRounds = 16;
+    r.steps = {{Op::Run, "fresh"},
+               {Op::Age},
+               {Op::Run, "aged"},
+               {Op::Sweep},
+               {Op::ReadBack}};
+    r.fields = {"keys", "utilization", "fresh_tput_ops",
+                "fresh_p99_us", "aged_tput_ops", "aged_p99_us",
+                {"write_amp", "aged_write_amp"}, "erase_min",
+                "erase_p50", "erase_max", "retired_blocks",
+                "bits_corrected", "uncorrectable_pages",
+                "retried_reads", "retry_successes", "retry_failures",
+                "poisoned_pages", {"relocated_pages", "aged_relocated_pages"},
+                "local_corruptions", "repaired_keys", "corrupt_final",
+                "divergent_final", "pressured",
+                {"backoffs", "aged_backoffs"}, "foreground_assists",
+                "reserve_alarms", "clean_parks", "trimmed_pages",
+                "read_back_bad"};
+    r.checks.insert(r.checks.end(),
+                    {{"aged_p99_us", Cmp::Le, 3, "fresh_p99_us"},
+                     // Every wear-destroyed page healed.
+                     {"corrupt_final", Cmp::Eq, 0},
+                     {"read_back_bad", Cmp::Eq, 0},
+                     // The ladder engaged: wear bit, retries rescued
+                     // senses, a block retired behind the cleaner.
+                     {"uncorrectable_pages", Cmp::Gt, 0},
+                     {"retry_successes", Cmp::Gt, 0},
+                     {"retired_blocks", Cmp::Ge, 1},
+                     {"aged_relocated_pages", Cmp::Gt, 0},
+                     {"aged_write_amp", Cmp::Ge, 1},
+                     {"utilization", Cmp::Ge, 0.78},
+                     {"utilization", Cmp::Le, 0.93}});
+    return r;
+}
+
+/** Every scenario: the full rows feed BENCH_kv.json, the smoke rows
+ * run the same scenarios small enough for a sanitizer build. */
+std::vector<Row>
+table()
+{
+    std::vector<Row> t;
+    // Scaling: the headline. The 100-node point is the cluster-scale
+    // target the ladder event queue and next-hop routing exist for.
+    for (unsigned n : {4u, 8u, 20u, 100u}) {
+        Row r = serving("nodes" + std::to_string(n) + "_", n,
+                        3000ull * n);
+        r.fields = {"tput_ops", "p50_us", "p99_us", "p999_us",
+                    "read_p99_us", "write_p99_us", "mean_us",
+                    "suspended_programs", "resumed_programs"};
+        r.fields.insert(r.fields.end(), kStageFields.begin(),
+                        kStageFields.end());
+        if (n == 4) // the config program interference used to sink
+            r.checks.push_back({"tput_ops", Cmp::Ge, 400000});
+        if (n == 20) {
+            r.fields.insert(r.fields.end(),
+                            {"cache_served", "cache_stale",
+                             "coalesced_gets"});
+            r.checks.push_back({"tput_ops", Cmp::Ge, 1.9e6});
+            // A silently disabled suspend-resume path would pass
+            // every latency gate on a lucky run.
+            r.checks.push_back({"suspended_programs", Cmp::Gt, 0});
+        }
+        if (n == 100)
+            r.checks.push_back({"tput_ops", Cmp::Ge, 10e6});
+        t.push_back(r);
+    }
+    // Skew at 8 nodes: uniform, then rising Zipf theta, with the
+    // hot-key cache on and off (ablation).
+    for (bool cached : {true, false}) {
+        for (double theta : {0.0, 0.5, 0.8, 0.9, 0.99}) {
+            std::string label = theta == 0.0
+                ? std::string("uniform")
+                : "theta" + std::to_string(int(theta * 100));
+            Row r = serving(std::string("skew_") +
+                                (cached ? "" : "nocache_") + label + "_",
+                            8, 24000);
+            r.load.zipfian = theta != 0.0;
+            r.load.theta = theta;
+            r.kv.cacheSlots = cached ? 256 : 0;
+            r.fields = {"tput_ops", "p99_us"};
+            t.push_back(r);
+        }
+    }
+    // Write quorum at 20 nodes: W=1 acks on the first replica and
+    // leaves stragglers to the background; W=2 waits for both.
+    for (unsigned w : {1u, 2u}) {
+        Row r = serving("quorum_w" + std::to_string(w) + "_", 20,
+                        60000);
+        r.kv.writeQuorum = w;
+        r.fields = {"tput_ops", "p99_us", "read_p99_us",
+                    "write_p99_us", "repair_lag",
+                    {"divergent_after_sweep", "divergent_final"}};
+        if (w == 1)
+            r.checks.push_back(
+                {"write_p99_us", Cmp::Le, 1.6, "read_p99_us"});
+        t.push_back(r);
+    }
+    // Open loop at 8 nodes: Poisson arrivals, 64 clients x 2000/s
+    // = 128k ops/s offered, well under the closed-loop ceiling.
+    Row open = serving("open_", 8, 24000);
+    open.load.openLoop = true;
+    open.load.arrivalsPerSec = 2000.0;
+    open.fields = {"tput_ops", "p50_us", "p99_us", "p999_us",
+                   "rejected"};
+    t.push_back(open);
+    // The headline config again, smaller, traced.
+    Row traced = serving("traced_", 20, 12000);
+    traced.trace = sampled(0);
+    traced.fields = {"tput_ops", "p99_us", "started", "retained",
+                     "slow", "span_checked", "span_sum_err_us"};
+    traced.checks.insert(traced.checks.end(), kTraceChecks.begin(),
+                         kTraceChecks.end());
+    t.push_back(traced);
+    // Elastic membership and aged flash.
+    Row kill = killRow("member_kill_", 20, 30000);
+    // At 20 nodes the default detection knobs sit far above the
+    // steady tail, so steady state must own no timeouts at all.
+    kill.checks.push_back({"steady_read_timeouts", Cmp::Eq, 0});
+    t.push_back(kill);
+    t.push_back(expandRow("member_expand_", 20, 30000));
+    t.push_back(agedRow("age_", 8000));
+
+    // Smoke rows. The hot-key config (cache, coalescing, spreading,
+    // group commit) traced with the slow-request log on, run twice:
+    // a same-seed rerun must repeat every value.
+    std::vector<Row> s;
+    Row hot = serving("smoke_", 4, 4000);
+    hot.trace = sampled(2000);
+    hot.twice = true;
+    hot.checks.push_back({"tput_ops", Cmp::Gt, 0});
+    hot.checks.insert(hot.checks.end(), kTraceChecks.begin(),
+                      kTraceChecks.end());
+    s.push_back(hot);
+    // Quorum fault: W=1 overwrites of 200 keys while node 3 fails
+    // every program must all ack Ok and leave divergence, which one
+    // sweep drains; then every node must read every new value.
+    Row quorum = serving("smoke_quorum_", 4, 0);
+    quorum.kv.cacheSlots = 0;
+    quorum.load.keys = 200;
+    quorum.load.valueBytes = 128;
+    quorum.steps = {{Op::FaultPuts}, {Op::Sweep}, {Op::ReadBack}};
+    quorum.checks.insert(quorum.checks.end(),
+                         {{"fault_puts_ok", Cmp::Eq, 1, "keys"},
+                          {"divergent", Cmp::Gt, 0},
+                          {"read_back_bad", Cmp::Eq, 0},
+                          {"read_back_wrong", Cmp::Eq, 0}});
+    s.push_back(quorum);
+    // Membership at 4 nodes. The kill row detects with tight knobs so
+    // it spends simulated milliseconds, not seconds; they sit below
+    // the 4-node steady tail, so steady state sees a few spurious
+    // timeouts and the crash window must merely dominate. The join
+    // involves no failure detection and keeps the defaults.
+    Row kill4 = killRow("smoke_kill_", 4, 3000);
+    kill4.kv.readTimeoutUs = 1000;
+    kill4.kv.writeTimeoutUs = 4000;
+    kill4.kv.suspectAfter = 2;
+    kill4.kv.deadGraceUs = 2000;
+    s.push_back(kill4);
+    s.push_back(expandRow("smoke_expand_", 4, 3000));
+    s.push_back(agedRow("smoke_age_", 6000));
+    // The full cluster scale point with a reduced op budget.
+    Row big = serving("smoke100_", 100, 20000);
+    big.checks.push_back({"tput_ops", Cmp::Gt, 0});
+    s.push_back(big);
+    for (Row &r : s) {
+        r.smoke = true;
+        t.push_back(std::move(r));
+    }
+    return t;
+}
+
+/** Checks that span rows: throughput must grow with every added
+ * scale point (a kink means added nodes stopped paying). */
+const std::vector<Check> kCrossChecks = {
+    {"nodes4_tput_ops", Cmp::Lt, 1, "nodes8_tput_ops"},
+    {"nodes8_tput_ops", Cmp::Lt, 1, "nodes20_tput_ops"},
+    {"nodes20_tput_ops", Cmp::Lt, 1, "nodes100_tput_ops"},
+};
+
+/** One line per measured phase of @p row. */
+void
+printRow(const Row &row, const Values &v)
+{
+    std::printf("\n%s (%u nodes)\n", row.prefix.c_str(), row.nodes);
+    for (const Step &s : row.steps) {
+        if (!measured(s.op))
+            continue;
+        std::string p = *s.phase ? std::string(s.phase) + "_" : "";
+        auto at = [&](const char *f) { return v.at(p + f); };
+        std::printf("  %-8s %10.0f ops/s  p50 %7.1f  p99 %7.1f  "
+                    "p99.9 %7.1f us  rejected %.0f | stage p99 (us) "
+                    "admission %.1f net %.1f shard %.1f flashq %.1f "
+                    "nand %.1f\n",
+                    *s.phase ? s.phase : "run", at("tput_ops"),
+                    at("p50_us"), at("p99_us"), at("p999_us"),
+                    at("rejected"), at("stage_admission_p99_us"),
+                    at("stage_net_p99_us"), at("stage_shard_p99_us"),
+                    at("stage_flash_queue_p99_us"),
+                    at("stage_nand_p99_us"));
+    }
+    if (v.count("read_back"))
+        std::printf("  read-back: %.0f reads, %.0f failed, %.0f Ok "
+                    "with wrong bytes\n",
+                    v.at("read_back"), v.at("read_back_bad"),
+                    v.at("read_back_wrong"));
 }
 
 } // namespace
@@ -1406,525 +1073,71 @@ smokeQuorum()
 int
 main(int argc, char **argv)
 {
-    // Tracing flags first (and stripped from argv: the benchmark
-    // library rejects flags it does not know): --trace-out enables
-    // the tracer on the traced run / smoke and exports the retained
-    // span trees as Chrome trace-event JSON; --slow-trace-us arms
-    // the always-on slow-request log at that threshold.
-    int kept = 1;
+    bool smoke = false;
+    std::string trace_out;
     for (int i = 1; i < argc; ++i) {
-        std::string a(argv[i]);
-        if (a == "--trace-out") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--trace-out needs a path\n");
-                return 1;
-            }
-            gTraceOut = argv[++i];
-            continue;
-        }
-        if (a == "--slow-trace-us") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--slow-trace-us needs a value\n");
-                return 1;
-            }
-            gSlowTraceUs = std::strtoull(argv[++i], nullptr, 10);
-            continue;
-        }
-        argv[kept++] = argv[i];
-    }
-    argc = kept;
-    argv[argc] = nullptr;
-
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--write-quorum") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "--write-quorum needs a value\n");
-                return 1;
-            }
-            globalQuorum = unsigned(std::atoi(argv[++i]));
-            if (globalQuorum < 1 || globalQuorum > 2) {
-                std::fprintf(stderr,
-                             "--write-quorum must be 1 or 2\n");
-                return 1;
-            }
-            continue;
-        }
-        if (std::string(argv[i]) == "--smoke-quorum")
-            return smokeQuorum();
-        // Membership smokes (CI, sanitizer preset): the full
-        // crash-rebuild / join scenarios at 4 serving nodes with
-        // tight detection knobs, gated on the robustness contract:
-        // zero divergence after recovery and a transition p99
-        // within 3x of steady state. No JSON side effects.
-        if (std::string(argv[i]) == "--kill-node") {
-            MemberResult r = runKillRebuild(4, 3000, true);
-            std::printf("kill smoke: steady p99 %.1fus, window "
-                        "p99 %.1fus, rebuild p99 %.1fus, %llu "
-                        "repairs, %llu bg writes, divergent "
-                        "%llu; timeouts by phase steady/window "
-                        "%llu/%llu\n",
-                        r.steady.p99us, r.window.p99us,
-                        r.rebuild.p99us,
-                        (unsigned long long)r.rebuildRepairs,
-                        (unsigned long long)r.bgWrites,
-                        (unsigned long long)r.divergentFinal,
-                        (unsigned long long)r.steady.readTimeouts,
-                        (unsigned long long)r.window.readTimeouts);
-            if (r.divergentFinal != 0) {
-                std::fprintf(stderr, "divergence survived the "
-                                     "rebuild + final sweep\n");
-                return 1;
-            }
-            if (r.deadTransitions == 0) {
-                std::fprintf(stderr,
-                             "crash was never detected\n");
-                return 1;
-            }
-            // Phase attribution of the membership counters: the
-            // crash window -- not steady state -- must account for
-            // the timeout surge and every dead transition. (The
-            // tight knobs sit below the 4-node steady tail, so a
-            // few spurious steady timeouts are expected; the crash
-            // must still dominate.) The two phase deltas must also
-            // sum back to the cumulative counter, or the snapshot
-            // machinery is dropping activity.
-            if (r.steady.deadTransitions != 0 ||
-                r.window.deadTransitions == 0) {
-                std::fprintf(stderr,
-                             "dead transitions misattributed: "
-                             "steady %llu, window %llu\n",
-                             (unsigned long long)
-                                 r.steady.deadTransitions,
-                             (unsigned long long)
-                                 r.window.deadTransitions);
-                return 1;
-            }
-            if (r.window.readTimeouts <= r.steady.readTimeouts) {
-                std::fprintf(stderr,
-                             "crash window does not own the "
-                             "timeout surge: steady %llu, window "
-                             "%llu\n",
-                             (unsigned long long)
-                                 r.steady.readTimeouts,
-                             (unsigned long long)
-                                 r.window.readTimeouts);
-                return 1;
-            }
-            if (r.steady.readTimeouts + r.window.readTimeouts !=
-                r.readTimeouts) {
-                std::fprintf(stderr,
-                             "phase deltas do not sum to the "
-                             "cumulative counter: %llu + %llu != "
-                             "%llu\n",
-                             (unsigned long long)
-                                 r.steady.readTimeouts,
-                             (unsigned long long)
-                                 r.window.readTimeouts,
-                             (unsigned long long)r.readTimeouts);
-                return 1;
-            }
-            if (r.window.p99us > 3.0 * r.steady.p99us) {
-                std::fprintf(stderr,
-                             "kill-window p99 %.1fus exceeds 3x "
-                             "steady %.1fus\n",
-                             r.window.p99us, r.steady.p99us);
-                return 1;
-            }
-            return 0;
-        }
-        // Aged-flash smoke (CI, sanitizer preset): the full wear
-        // ladder -- elevated BER, read retries, poisoned pages,
-        // replica heal, block retirement, capacity pressure --
-        // under live load, self-gated on the robustness contract:
-        // the machinery must actually engage, every wear-destroyed
-        // page must heal from its replica, nothing may be lost,
-        // and the aged tail must hold within 3x of fresh. No JSON.
-        if (std::string(argv[i]) == "--age") {
-            AgeResult r = runAging(4, 6000);
-            std::printf("age smoke: %llu keys at %.0f%% "
-                        "utilization; fresh p99 %.1fus -> aged "
-                        "p99 %.1fus; %llu uncorrectable senses, "
-                        "%llu retries (%llu rescued), %llu pages "
-                        "poisoned, %llu blocks retired, %llu "
-                        "relocated pages, WA %.2f, erase "
-                        "%u/%u/%u\n",
-                        (unsigned long long)r.keys,
-                        100.0 * r.utilization, r.fresh.p99us,
-                        r.aged.p99us,
-                        (unsigned long long)r.uncorrectablePages,
-                        (unsigned long long)r.retriedReads,
-                        (unsigned long long)r.retrySuccesses,
-                        (unsigned long long)r.poisonedPages,
-                        (unsigned long long)r.retiredBlocks,
-                        (unsigned long long)r.relocatedPages,
-                        r.writeAmp, r.eraseMin, r.eraseP50,
-                        r.eraseMax);
-            std::printf("age smoke: %llu local corruptions, %llu "
-                        "repaired keys, divergence %llu -> %llu "
-                        "(%llu corrupt left), %llu pressured "
-                        "(%llu backoffs), read-back %llu/%llu "
-                        "bad\n",
-                        (unsigned long long)r.localCorruptions,
-                        (unsigned long long)r.repairedKeys,
-                        (unsigned long long)r.divergent,
-                        (unsigned long long)r.divergentFinal,
-                        (unsigned long long)r.corruptFinal,
-                        (unsigned long long)r.pressured,
-                        (unsigned long long)r.backoffs,
-                        (unsigned long long)r.readBackBad,
-                        (unsigned long long)r.readBack);
-            if (r.uncorrectablePages == 0 ||
-                r.retrySuccesses == 0) {
-                std::fprintf(stderr,
-                             "wear model never bit: %llu "
-                             "uncorrectable, %llu rescued\n",
-                             (unsigned long long)
-                                 r.uncorrectablePages,
-                             (unsigned long long)
-                                 r.retrySuccesses);
-                return 1;
-            }
-            if (r.retiredBlocks == 0 || r.relocatedPages == 0) {
-                std::fprintf(stderr,
-                             "no block retired behind the "
-                             "cleaner (%llu retired, %llu "
-                             "relocated)\n",
-                             (unsigned long long)r.retiredBlocks,
-                             (unsigned long long)
-                                 r.relocatedPages);
-                return 1;
-            }
-            if (r.divergentFinal != 0 || r.corruptFinal != 0) {
-                std::fprintf(stderr,
-                             "corruption survived the sweep "
-                             "(%llu divergent, %llu corrupt)\n",
-                             (unsigned long long)r.divergentFinal,
-                             (unsigned long long)r.corruptFinal);
-                return 1;
-            }
-            if (r.readBackBad != 0) {
-                std::fprintf(stderr,
-                             "%llu/%llu keys lost after heal\n",
-                             (unsigned long long)r.readBackBad,
-                             (unsigned long long)r.readBack);
-                return 1;
-            }
-            if (r.writeAmp < 1.0) {
-                std::fprintf(stderr,
-                             "write amplification %.2f < 1\n",
-                             r.writeAmp);
-                return 1;
-            }
-            if (r.utilization < 0.78 || r.utilization > 0.93) {
-                std::fprintf(stderr,
-                             "occupancy %.0f%% outside the "
-                             "80-90%% aged-flash band\n",
-                             100.0 * r.utilization);
-                return 1;
-            }
-            if (r.aged.p99us > 3.0 * r.fresh.p99us) {
-                std::fprintf(stderr,
-                             "aged p99 %.1fus exceeds 3x fresh "
-                             "%.1fus\n",
-                             r.aged.p99us, r.fresh.p99us);
-                return 1;
-            }
-            return 0;
-        }
-        if (std::string(argv[i]) == "--expand") {
-            // Default detection knobs: a join involves no failure
-            // detection, and the tight timeouts sit below the
-            // 4-node steady tail, manufacturing spurious retries.
-            MemberResult r = runExpand(4, 3000, false);
-            std::printf("expand smoke: steady p99 %.1fus, handoff "
-                        "p99 %.1fus, %llu keys moved, epoch %llu, "
-                        "divergent %llu, %llu read timeouts, %llu "
-                        "retried reads, %llu degraded writes\n",
-                        r.steady.p99us, r.window.p99us,
-                        (unsigned long long)r.movedKeys,
-                        (unsigned long long)r.ringEpoch,
-                        (unsigned long long)r.divergentFinal,
-                        (unsigned long long)r.readTimeouts,
-                        (unsigned long long)r.retriedReads,
-                        (unsigned long long)r.degradedWrites);
-            if (r.divergentFinal != 0) {
-                std::fprintf(stderr, "divergence survived the "
-                                     "handoff + final sweep\n");
-                return 1;
-            }
-            if (r.movedKeys == 0 || r.ringEpoch != 1) {
-                std::fprintf(stderr, "join moved no keys\n");
-                return 1;
-            }
-            if (r.window.p99us > 3.0 * r.steady.p99us) {
-                std::fprintf(stderr,
-                             "handoff-window p99 %.1fus exceeds "
-                             "3x steady %.1fus\n",
-                             r.window.p99us, r.steady.p99us);
-                return 1;
-            }
-            return 0;
-        }
-    }
-    // Cluster-scale smoke (CI, sanitizer preset): the 100-node ring
-    // end to end with a reduced op budget, so the ladder queue and
-    // next-hop routing run at full fan-out under ASan/UBSan. No JSON.
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--smoke-100") {
-            RunResult r = runConfig(100, true, 0.99, false, 0.0,
-                                    20000);
-            std::printf("smoke-100: %.0f ops/s, p50 %.1f us, "
-                        "p99 %.1f us, remote %llu / local %llu\n",
-                        r.tput, r.p50us, r.p99us,
-                        (unsigned long long)r.remoteOps,
-                        (unsigned long long)r.localOps);
-            if (r.tput <= 0.0) {
-                std::fprintf(stderr,
-                             "smoke-100 run made no progress\n");
-                return 1;
-            }
-            if (r.divergentSwept != 0) {
-                std::fprintf(stderr,
-                             "smoke-100 left %llu divergent "
-                             "writes after the sweep\n",
-                             (unsigned long long)r.divergentSwept);
-                return 1;
-            }
-            return 0;
-        }
-    }
-    // Smoke mode (CI, sanitizer preset): one tiny hot-key config
-    // end to end -- preload, skewed traffic, cache + coalescing +
-    // spreading exercised -- with no JSON side effects.
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--smoke") {
-            bool traced = !gTraceOut.empty() || gSlowTraceUs != 0;
-            RunResult r = runConfig(4, true, 0.99, false, 0.0,
-                                    4000, true, 0, traced);
-            std::printf("smoke: %.0f ops/s, p99 %.1f us "
-                        "(read %.1f / write %.1f), "
-                        "%llu cache-served, %llu coalesced\n",
-                        r.tput, r.p99us, r.readP99us, r.writeP99us,
-                        (unsigned long long)r.cacheServed,
-                        (unsigned long long)r.coalesced);
-            std::printf("smoke stages p99 (us): admission %.1f, "
-                        "net %.1f, shard %.1f, flashq %.1f, "
-                        "nand %.1f\n",
-                        r.stages.admissionP99us, r.stages.netP99us,
-                        r.stages.shardP99us,
-                        r.stages.flashQueueP99us,
-                        r.stages.nandP99us);
-            if (r.tput <= 0.0) {
-                std::fprintf(stderr, "smoke run made no progress\n");
-                return 1;
-            }
-            if (traced) {
-                std::printf("smoke traces: %llu started, %llu "
-                            "retained (%llu slow), %llu "
-                            "span-sum-checked, max err %.3f us\n",
-                            (unsigned long long)r.tracesStarted,
-                            (unsigned long long)r.tracesRetained,
-                            (unsigned long long)r.tracesSlow,
-                            (unsigned long long)r.tracedChecked,
-                            r.tracedSpanSumErrUs);
-                if (r.tracesStarted == 0 ||
-                    r.tracesRetained == 0) {
-                    std::fprintf(stderr,
-                                 "tracing retained nothing\n");
-                    return 1;
-                }
-                if (r.tracedChecked == 0 ||
-                    r.tracedSpanSumErrUs != 0.0) {
-                    std::fprintf(stderr,
-                                 "span-sum check failed: %llu "
-                                 "checked, max err %.3f us\n",
-                                 (unsigned long long)
-                                     r.tracedChecked,
-                                 r.tracedSpanSumErrUs);
-                    return 1;
-                }
-            }
-            return 0;
+        std::string_view a = argv[i];
+        if (a == "--smoke") {
+            smoke = true;
+        } else if (a == "--trace-out" && i + 1 < argc) {
+            trace_out = argv[++i];
+        } else {
+            std::fprintf(stderr,
+                         "usage: svc_kv [--smoke] [--trace-out PATH]\n");
+            return 1;
         }
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    if (scaling.empty())
-        runAll();
-    printTable();
-
-    bench::JsonCounters counters;
-    auto stageFields = [&](const std::string &p,
-                           const StageTails &s) {
-        counters.emplace_back(p + "stage_admission_p99_us",
-                              s.admissionP99us);
-        counters.emplace_back(p + "stage_net_p99_us", s.netP99us);
-        counters.emplace_back(p + "stage_shard_p99_us",
-                              s.shardP99us);
-        counters.emplace_back(p + "stage_flash_queue_p99_us",
-                              s.flashQueueP99us);
-        counters.emplace_back(p + "stage_nand_p99_us", s.nandP99us);
-    };
-    for (const auto &r : scaling) {
-        std::string p = "nodes" + std::to_string(r.nodes) + "_";
-        counters.emplace_back(p + "tput_ops", r.tput);
-        counters.emplace_back(p + "p50_us", r.p50us);
-        counters.emplace_back(p + "p99_us", r.p99us);
-        counters.emplace_back(p + "p999_us", r.p999us);
-        counters.emplace_back(p + "read_p99_us", r.readP99us);
-        counters.emplace_back(p + "write_p99_us", r.writeP99us);
-        counters.emplace_back(p + "mean_us", r.meanUs);
-        counters.emplace_back(p + "suspended_programs",
-                              double(r.suspendedPrograms));
-        counters.emplace_back(p + "resumed_programs",
-                              double(r.resumedPrograms));
-        stageFields(p, r.stages);
+    bench::banner(smoke ? "KV service smoke rows"
+                        : "KV service: throughput vs tail latency "
+                          "(R=2), under faults");
+    std::map<std::string, double> all;
+    bench::JsonCounters json;
+    std::vector<std::string> failed;
+    for (const Row &row : table()) {
+        if (row.smoke != smoke)
+            continue;
+        Values v = runRow(row, trace_out);
+        printRow(row, v);
+        if (row.twice) {
+            Values again = runRow(row, trace_out);
+            for (const auto &[name, x] : v) {
+                auto it = again.find(name);
+                if (it != again.end() && it->second == x)
+                    continue;
+                std::printf("FAIL %s%s not deterministic\n",
+                            row.prefix.c_str(), name.c_str());
+                failed.push_back(row.prefix + name);
+            }
+        }
+        for (const auto &[name, x] : v)
+            all[row.prefix + name] = x;
+        for (const Field &f : row.fields) {
+            if (!v.count(f.from))
+                sim::fatal("%s: no value %s", row.prefix.c_str(),
+                           f.from.c_str());
+            json.emplace_back(row.prefix + f.json, v.at(f.from));
+        }
+        for (Check c : row.checks) {
+            c.lhs = row.prefix + c.lhs;
+            if (!c.rhs.empty())
+                c.rhs = row.prefix + c.rhs;
+            if (!bench::holds(c, all))
+                failed.push_back(c.lhs);
+        }
     }
-    const auto &head = scalingAt(20);
-    counters.emplace_back("nodes20_cache_served",
-                          double(head.cacheServed));
-    counters.emplace_back("nodes20_cache_stale",
-                          double(head.cacheStale));
-    counters.emplace_back("nodes20_coalesced_gets",
-                          double(head.coalesced));
-    auto theta_label = [](const RunResult &r) {
-        return r.theta == 0.0
-            ? std::string("uniform")
-            : "theta" + std::to_string(int(r.theta * 100));
-    };
-    for (const auto &r : skew) {
-        counters.emplace_back("skew_" + theta_label(r) +
-                                  "_tput_ops", r.tput);
-        counters.emplace_back("skew_" + theta_label(r) + "_p99_us",
-                              r.p99us);
+    if (!smoke) {
+        for (const Check &c : kCrossChecks) {
+            if (!bench::holds(c, all))
+                failed.push_back(c.lhs);
+        }
+        bench::writeJson("BENCH_kv.json", json);
     }
-    for (const auto &r : skewNoCache) {
-        counters.emplace_back("skew_nocache_" + theta_label(r) +
-                                  "_tput_ops", r.tput);
-        counters.emplace_back("skew_nocache_" + theta_label(r) +
-                                  "_p99_us", r.p99us);
-    }
-    for (const auto &r : quorumSweep) {
-        std::string p = "quorum_w" + std::to_string(r.quorum) + "_";
-        counters.emplace_back(p + "tput_ops", r.tput);
-        counters.emplace_back(p + "p99_us", r.p99us);
-        counters.emplace_back(p + "read_p99_us", r.readP99us);
-        counters.emplace_back(p + "write_p99_us", r.writeP99us);
-        counters.emplace_back(p + "repair_lag",
-                              double(r.repairLag));
-        counters.emplace_back(p + "divergent_after_sweep",
-                              double(r.divergentSwept));
-    }
-    counters.emplace_back("open_tput_ops", open_loop_run.tput);
-    counters.emplace_back("open_p50_us", open_loop_run.p50us);
-    counters.emplace_back("open_p99_us", open_loop_run.p99us);
-    counters.emplace_back("open_p999_us", open_loop_run.p999us);
-    counters.emplace_back("open_rejected",
-                          double(open_loop_run.rejected));
-    counters.emplace_back("traced_tput_ops", traced_run.tput);
-    counters.emplace_back("traced_p99_us", traced_run.p99us);
-    counters.emplace_back("traced_started",
-                          double(traced_run.tracesStarted));
-    counters.emplace_back("traced_retained",
-                          double(traced_run.tracesRetained));
-    counters.emplace_back("traced_slow",
-                          double(traced_run.tracesSlow));
-    counters.emplace_back("traced_span_checked",
-                          double(traced_run.tracedChecked));
-    counters.emplace_back("traced_span_sum_err_us",
-                          traced_run.tracedSpanSumErrUs);
-    auto mphase = [&](const std::string &p, const MemberPhase &m) {
-        counters.emplace_back(p + "tput_ops", m.tput);
-        counters.emplace_back(p + "p50_us", m.p50us);
-        counters.emplace_back(p + "p99_us", m.p99us);
-        counters.emplace_back(p + "read_timeouts",
-                              double(m.readTimeouts));
-        counters.emplace_back(p + "degraded_writes",
-                              double(m.degradedWrites));
-        counters.emplace_back(p + "dead_transitions",
-                              double(m.deadTransitions));
-        stageFields(p, m.stages);
-    };
-    mphase("member_kill_steady_", killRun.steady);
-    mphase("member_kill_window_", killRun.window);
-    mphase("member_kill_rebuild_", killRun.rebuild);
-    mphase("member_kill_post_", killRun.post);
-    counters.emplace_back("member_kill_read_timeouts",
-                          double(killRun.readTimeouts));
-    counters.emplace_back("member_kill_dead_transitions",
-                          double(killRun.deadTransitions));
-    counters.emplace_back("member_kill_degraded_writes",
-                          double(killRun.degradedWrites));
-    counters.emplace_back("member_kill_rebuild_repairs",
-                          double(killRun.rebuildRepairs));
-    counters.emplace_back("member_kill_bg_reads",
-                          double(killRun.bgReads));
-    counters.emplace_back("member_kill_bg_writes",
-                          double(killRun.bgWrites));
-    counters.emplace_back("member_kill_backoffs",
-                          double(killRun.backoffs));
-    counters.emplace_back("member_kill_divergent_final",
-                          double(killRun.divergentFinal));
-    mphase("member_expand_steady_", expandRun.steady);
-    mphase("member_expand_window_", expandRun.window);
-    mphase("member_expand_post_", expandRun.post);
-    counters.emplace_back("member_expand_moved_keys",
-                          double(expandRun.movedKeys));
-    counters.emplace_back("member_expand_ring_epoch",
-                          double(expandRun.ringEpoch));
-    counters.emplace_back("member_expand_divergent_final",
-                          double(expandRun.divergentFinal));
-    counters.emplace_back("age_keys", double(ageRun.keys));
-    counters.emplace_back("age_utilization", ageRun.utilization);
-    counters.emplace_back("age_fresh_tput_ops", ageRun.fresh.tput);
-    counters.emplace_back("age_fresh_p99_us", ageRun.fresh.p99us);
-    counters.emplace_back("age_aged_tput_ops", ageRun.aged.tput);
-    counters.emplace_back("age_aged_p99_us", ageRun.aged.p99us);
-    counters.emplace_back("age_write_amp", ageRun.writeAmp);
-    counters.emplace_back("age_erase_min", double(ageRun.eraseMin));
-    counters.emplace_back("age_erase_p50", double(ageRun.eraseP50));
-    counters.emplace_back("age_erase_max", double(ageRun.eraseMax));
-    counters.emplace_back("age_retired_blocks",
-                          double(ageRun.retiredBlocks));
-    counters.emplace_back("age_bits_corrected",
-                          double(ageRun.bitsCorrected));
-    counters.emplace_back("age_uncorrectable_pages",
-                          double(ageRun.uncorrectablePages));
-    counters.emplace_back("age_retried_reads",
-                          double(ageRun.retriedReads));
-    counters.emplace_back("age_retry_successes",
-                          double(ageRun.retrySuccesses));
-    counters.emplace_back("age_retry_failures",
-                          double(ageRun.retryFailures));
-    counters.emplace_back("age_poisoned_pages",
-                          double(ageRun.poisonedPages));
-    counters.emplace_back("age_relocated_pages",
-                          double(ageRun.relocatedPages));
-    counters.emplace_back("age_local_corruptions",
-                          double(ageRun.localCorruptions));
-    counters.emplace_back("age_repaired_keys",
-                          double(ageRun.repairedKeys));
-    counters.emplace_back("age_corrupt_final",
-                          double(ageRun.corruptFinal));
-    counters.emplace_back("age_divergent_final",
-                          double(ageRun.divergentFinal));
-    counters.emplace_back("age_pressured",
-                          double(ageRun.pressured));
-    counters.emplace_back("age_backoffs",
-                          double(ageRun.backoffs));
-    counters.emplace_back("age_foreground_assists",
-                          double(ageRun.foregroundAssists));
-    counters.emplace_back("age_reserve_alarms",
-                          double(ageRun.reserveAlarms));
-    counters.emplace_back("age_clean_parks",
-                          double(ageRun.cleanParks));
-    counters.emplace_back("age_trimmed_pages",
-                          double(ageRun.trimmedPages));
-    counters.emplace_back("age_read_back_bad",
-                          double(ageRun.readBackBad));
-    bench::writeJson("BENCH_kv.json", counters);
-    return 0;
+    if (failed.empty())
+        return 0;
+    std::fprintf(stderr, "svc_kv: %zu check(s) failed:", failed.size());
+    for (const auto &f : failed)
+        std::fprintf(stderr, " %s", f.c_str());
+    std::fprintf(stderr, "\n");
+    return 1;
 }

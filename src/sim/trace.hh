@@ -9,8 +9,8 @@
  * addressed through 64-bit handles that ride the request structs
  * across layers; handle 0 means "untraced" and every tracer call
  * early-outs on it, which is what keeps the disabled tracer off the
- * hot path (scripts/ci.sh gates the overhead on the kernel
- * ablation).
+ * hot path (bench/ablation_kernel.cc gates the overhead through its
+ * exit status).
  *
  * Because one Simulator clocks the whole simulated cluster there is
  * no clock skew: a span begun on the origin node and ended on the
