@@ -8,7 +8,9 @@
 # KV scenario row at smoke size). Then the repo benchmark's
 # self-test, and the two perf binaries, which regenerate the tracked
 # BENCH_kernel.json / BENCH_kv.json and gate them through their exit
-# status. Last, the paper figures must regenerate bit-identical.
+# status; BENCH_kv.json, all simulated, must also come back
+# byte-identical. Last, the paper figures must regenerate
+# bit-identical.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -62,7 +64,14 @@ python3 repobench/selftest.py
 
 echo "=== perf binaries: regenerate + gate BENCH_kernel / BENCH_kv ==="
 ./build/ablation_kernel
+# Every BENCH_kv.json field is simulated (seeded), so the tracked
+# file must regenerate byte for byte, as the figures do below.
+cp BENCH_kv.json build/BENCH_kv.json.tracked
 ./build/svc_kv
+cmp BENCH_kv.json build/BENCH_kv.json.tracked || {
+    echo "kv gate: BENCH_kv.json changed" >&2
+    exit 1
+}
 
 echo "=== figure JSON bit-identity (wear defaults off) ==="
 # The wear model defaults OFF (NandArray::setWearModel unarmed):

@@ -12,6 +12,28 @@ namespace kv {
 using flash::PageBuffer;
 using net::NodeId;
 
+namespace {
+
+/** Ring points per node; more points, smoother balance. */
+constexpr unsigned vnodesPerNode = 64;
+
+/**
+ * Independent append chains per shard (KvShard stripes). One log
+ * file serializes a node's puts behind a single tail page (one
+ * program in flight at a time); striping multiplies the per-node
+ * write ceiling and feeds the flash server's program-coalescing
+ * stage when stripes land on one bus. The hot-shard write backlog
+ * under quorum acks is exactly what this bounds: stragglers drain
+ * at S chains, not one. More stripes also dilute group-commit
+ * amortization (fewer puts absorbed per tail-page program, so more
+ * chip-busy program windows stalling reads); 5 is the empirical
+ * sweet spot of the 20-node serving bench, where both the write
+ * p99 and throughput targets clear with margin.
+ */
+constexpr unsigned logStripes = 5;
+
+} // namespace
+
 KvRouter::KvRouter(sim::Simulator &sim, core::Cluster &cluster,
                    const KvParams &params)
     : sim_(sim), cluster_(cluster), params_(params),
@@ -60,19 +82,17 @@ KvRouter::KvRouter(sim::Simulator &sim, core::Cluster &cluster,
                    params_.writeQuorum, params_.replication);
     if (params_.repairChunk == 0)
         sim::fatal("repair chunk must be >= 1");
-    if (params_.vnodes == 0)
-        sim::fatal("consistent hashing needs >= 1 vnode");
     if (params_.readRetries >= 2 * maxReplication)
         sim::fatal("readRetries %u exceeds the per-op target "
                    "budget", params_.readRetries);
 
-    // Hash ring: vnodes points per active node, sorted once. Every
-    // node derives identical owners with no directory service.
+    // Hash ring: vnodesPerNode points per active node, sorted once.
+    // Every node derives identical owners with no directory service.
     // Nodes beyond activeNodes start Standby: provisioned but
     // owning no keys, joinable later.
-    ring_.reserve(std::size_t(active) * params_.vnodes);
+    ring_.reserve(std::size_t(active) * vnodesPerNode);
     for (unsigned n = 0; n < active; ++n) {
-        for (unsigned v = 0; v < params_.vnodes; ++v)
+        for (unsigned v = 0; v < vnodesPerNode; ++v)
             ring_.emplace_back(
                 mix64((std::uint64_t(n) << 32) | v), NodeId(n));
     }
@@ -82,12 +102,10 @@ KvRouter::KvRouter(sim::Simulator &sim, core::Cluster &cluster,
     for (unsigned n = active; n < cluster_.size(); ++n)
         members_[n].state = MemberState::Standby;
 
-    if (params_.logStripes == 0)
-        sim::fatal("shard log needs >= 1 stripe");
     for (unsigned n = 0; n < cluster_.size(); ++n) {
         shards_.emplace_back(std::make_unique<KvShard>(
             sim_, cluster_.node(n).fs(), params_.shardLog,
-            params_.logStripes));
+            logStripes));
         if (params_.cacheSlots > 0) {
             KvCache::Params cp;
             cp.slots = params_.cacheSlots;
@@ -193,30 +211,43 @@ KvRouter::armRepairTimer()
 // ---------------------------------------------------------------- //
 
 unsigned
-KvRouter::ownersFromRing(const Ring &ring, std::size_t ring_index,
-                         NodeId *out, unsigned max)
+KvRouter::ownersForHash(const Ring &ring, std::uint64_t h,
+                        NodeId *out, unsigned max)
 {
+    auto i = std::size_t(
+        std::lower_bound(ring.begin(), ring.end(),
+                         std::make_pair(h, NodeId(0))) -
+        ring.begin());
     unsigned count = 0;
     for (std::size_t step = 0;
-         step < ring.size() && count < max; ++step) {
-        if (ring_index == ring.size())
-            ring_index = 0;
-        NodeId n = ring[ring_index].second;
+         step < ring.size() && count < max; ++step, ++i) {
+        if (i == ring.size())
+            i = 0;
+        NodeId n = ring[i].second;
         if (std::find(out, out + count, n) == out + count)
             out[count++] = n;
-        ++ring_index;
     }
     return count;
 }
 
 unsigned
-KvRouter::ownersForHash(const Ring &ring, std::uint64_t h,
-                        NodeId *out, unsigned max)
+KvRouter::unionOwners(std::uint64_t h, NodeId *out,
+                      unsigned *current) const
 {
-    auto it = std::lower_bound(ring.begin(), ring.end(),
-                               std::make_pair(h, NodeId(0)));
-    return ownersFromRing(ring, std::size_t(it - ring.begin()), out,
-                          max);
+    unsigned ncur = ownersForHash(ring_, h, out, params_.replication);
+    if (current != nullptr)
+        *current = ncur;
+    if (!rebalance_)
+        return ncur;
+    NodeId next[maxReplication];
+    unsigned nnext = ownersForHash(rebalance_->newRing, h, next,
+                                   params_.replication);
+    unsigned count = ncur;
+    for (unsigned i = 0; i < nnext; ++i) {
+        if (std::find(out, out + ncur, next[i]) == out + ncur)
+            out[count++] = next[i];
+    }
+    return count;
 }
 
 unsigned
@@ -464,6 +495,8 @@ KvRouter::leaveNode(NodeId n, std::function<void()> done)
     });
 }
 
+/** One sweep or join/leave catch-up in flight (a catch-up is the
+ * traversal that runs while rebalance_ is set). */
 struct KvRouter::SweepState
 {
     std::function<void()> done;
@@ -475,9 +508,6 @@ struct KvRouter::SweepState
      * floods the controller tags foreground reads need. */
     bool stalled = false;
     bool traversalDone = false;
-    /** Join/leave catch-up: traverse the finer ring, reconcile
-     * old-union-new owner sets, count movedKeys, never prune. */
-    bool rebalance = false;
     /** Tombstones below this stamp may prune on consistent ranges:
      * older than every write in flight when the sweep started. */
     std::uint64_t pruneBelow = 0;
@@ -499,11 +529,10 @@ KvRouter::beginRebalance(NodeId n, bool joining,
     }
 
     auto rb = std::make_unique<Rebalance>();
-    rb->oldRing = ring_;
     rb->newRing = ring_;
     if (joining) {
-        rb->newRing.reserve(ring_.size() + params_.vnodes);
-        for (unsigned v = 0; v < params_.vnodes; ++v)
+        rb->newRing.reserve(ring_.size() + vnodesPerNode);
+        for (unsigned v = 0; v < vnodesPerNode; ++v)
             rb->newRing.emplace_back(
                 mix64((std::uint64_t(n) << 32) | v), n);
         std::sort(rb->newRing.begin(), rb->newRing.end());
@@ -515,26 +544,21 @@ KvRouter::beginRebalance(NodeId n, bool joining,
                 return p.second == n;
             }),
             rb->newRing.end());
-        std::vector<bool> seen(cluster_.size(), false);
-        unsigned distinct = 0;
-        for (const auto &p : rb->newRing) {
-            if (!seen[p.second]) {
-                seen[p.second] = true;
-                ++distinct;
-            }
-        }
+        // A full owner walk finds R distinct nodes iff R remain.
+        NodeId probe[maxReplication];
+        unsigned distinct = ownersForHash(rb->newRing, 0, probe,
+                                          params_.replication);
         if (distinct < params_.replication)
             sim::fatal("leaveNode(%u): %u nodes left cannot hold "
                        "%u replicas", n, distinct,
                        params_.replication);
     }
-    // The finer ring (superset of points: new for a join, old for
-    // a leave) is the granularity whose segments have constant
+    // The finer ring (superset of points: new for a join, ring_
+    // for a leave) is the granularity whose segments have constant
     // owner sets under BOTH rings -- what the catch-up walks.
-    rb->finer = joining ? &rb->newRing : &rb->oldRing;
+    rb->finer = joining ? &rb->newRing : &ring_;
     rb->node = n;
     rb->joining = joining;
-    rb->done = std::move(done);
     if (joining)
         m.state = MemberState::Joining;
 
@@ -546,63 +570,17 @@ KvRouter::beginRebalance(NodeId n, bool joining,
     rebalance_ = std::move(rb);
     sweepRunning_ = true;
     auto state = std::make_shared<SweepState>();
-    state->rebalance = true;
+    state->done = std::move(done);
     sweepChunk(state);
 }
 
 void
-KvRouter::rebalanceSegment(std::shared_ptr<SweepState> state,
-                           std::size_t seg)
+KvRouter::finishRebalance()
 {
-    const Rebalance &rb = *rebalance_;
-    std::uint64_t ranges[2][2];
-    unsigned nranges = segmentRanges(*rb.finer, seg, ranges);
-    for (unsigned r = 0; r < nranges; ++r) {
-        std::uint64_t lo = ranges[r][0], hi = ranges[r][1];
-        // Replica set of this arc: the union of its owners under
-        // the old and the new ring (constant across the arc, by
-        // choice of the finer ring). The newest-stamped state of
-        // every key in the arc ends up on every union member --
-        // in particular on the next owners that lack it.
-        NodeId uni[maxReplication];
-        unsigned nuni =
-            ownersForHash(rb.oldRing, lo, uni, params_.replication);
-        NodeId nown[maxReplication];
-        unsigned nnew =
-            ownersForHash(rb.newRing, lo, nown, params_.replication);
-        for (unsigned i = 0; i < nnew; ++i) {
-            if (std::find(uni, uni + nuni, nown[i]) != uni + nuni)
-                continue;
-            if (nuni >= maxReplication)
-                sim::fatal("owner union exceeds maxReplication");
-            uni[nuni++] = nown[i];
-        }
-        // Only reconcilable members participate; a Dead or crashed
-        // replica keeps its divergence marks for a later sweep.
-        NodeId rec[maxReplication];
-        unsigned nrec = 0;
-        for (unsigned i = 0; i < nuni; ++i) {
-            MemberState ms = members_[uni[i]].state;
-            if (!members_[uni[i]].crashed &&
-                (ms == MemberState::Live ||
-                 ms == MemberState::Suspect ||
-                 ms == MemberState::Joining))
-                rec[nrec++] = uni[i];
-        }
-        if (nrec >= 2)
-            sweepRange(state, rec, nrec, lo, hi, false);
-    }
-}
-
-void
-KvRouter::finishRebalance(const std::shared_ptr<SweepState> &state)
-{
-    (void)state;
     // Phase 2, the flip: atomic within the event -- every operation
     // issued after this line routes on the new ring.
     std::unique_ptr<Rebalance> rb = std::move(rebalance_);
-    Ring old_ring = std::move(rb->oldRing);
-    ring_ = std::move(rb->newRing);
+    Ring old_ring = std::exchange(ring_, std::move(rb->newRing));
     ++ringEpoch_;
     Member &m = members_[rb->node];
     if (rb->joining) {
@@ -626,19 +604,9 @@ KvRouter::finishRebalance(const std::shared_ptr<SweepState> &state)
                                         params_.replication);
             unsigned nb =
                 ownersForHash(ring_, h, b, params_.replication);
-            if (na != nb)
-                return true;
-            for (unsigned i = 0; i < na; ++i) {
-                if (a[i] != b[i])
-                    return true;
-            }
-            return false;
+            return !std::equal(a, a + na, b, b + nb);
         });
     }
-    sweepRunning_ = false;
-    if (rb->done)
-        rb->done();
-    releaseExclusive();
 }
 
 // ---------------------------------------------------------------- //
@@ -649,13 +617,38 @@ NodeId
 KvRouter::readReplica(NodeId origin, Key key) const
 {
     NodeId target;
-    if (steerTarget(origin, key, &target) &&
-        members_[target].state != MemberState::Dead)
-        return target;
-    bool diverted = false;
-    if (pickReadTarget(origin, key, &target, &diverted))
-        return target;
-    return defaultReadReplica(origin, key);
+    bool steered = false;
+    // With no readable owner, target is the plain pick.
+    (void)routeRead(origin, key, &target, &steered);
+    return target;
+}
+
+bool
+KvRouter::routeRead(NodeId origin, Key key, NodeId *out,
+                    bool *steered) const
+{
+    // Allocation-free: gets are the 95% case and run once per op.
+    // One ring walk serves every step below.
+    NodeId own[maxReplication];
+    unsigned count = ownersInto(key, own, params_.replication);
+    NodeId plain = plainRead(origin, own, count);
+    NodeId steer;
+    *steered = false;
+    if (steerTarget(origin, key, &steer) &&
+        members_[steer].state != MemberState::Dead) {
+        *out = steer;
+    } else if (plain == origin ||
+               members_[plain].state == MemberState::Live) {
+        // The origin's own shard needs no liveness check -- if the
+        // origin were gone, nobody would be asking.
+        *out = plain;
+    } else if (!failover(own, count, origin % count, origin, nullptr,
+                         0, out)) { // keeps the origin-keyed spread
+        *out = plain;
+        return false;
+    }
+    *steered = *out != plain;
+    return true;
 }
 
 bool
@@ -709,56 +702,33 @@ KvRouter::steerTarget(NodeId origin, Key key, NodeId *out) const
 }
 
 NodeId
-KvRouter::defaultReadReplica(NodeId origin, Key key) const
+KvRouter::plainRead(NodeId origin, const NodeId *own, unsigned count)
 {
-    // Allocation-free: gets are the 95% case and run once per op.
-    NodeId own[maxReplication];
-    unsigned count = ownersInto(key, own, params_.replication);
-    for (unsigned i = 0; i < count; ++i) {
-        if (own[i] == origin)
-            return origin; // a local replica: zero network hops
-    }
+    if (std::find(own, own + count, origin) != own + count)
+        return origin; // a local replica: zero network hops
     // Spread different origins across the replica set so hot keys
     // draw read bandwidth from every copy.
     return own[origin % count];
 }
 
 bool
-KvRouter::pickReadTarget(NodeId origin, Key key, NodeId *out,
-                         bool *diverted) const
+KvRouter::failover(const NodeId *own, unsigned count, unsigned start,
+                   NodeId origin, const NodeId *tried,
+                   unsigned ntried, NodeId *out) const
 {
-    NodeId own[maxReplication];
-    unsigned count = ownersInto(key, own, params_.replication);
-    if (count == 0)
-        return false;
-    NodeId plain = own[origin % count];
-    for (unsigned i = 0; i < count; ++i) {
-        if (own[i] == origin) {
-            plain = origin;
-            break;
-        }
-    }
-    // The origin's own shard needs no liveness check -- if the
-    // origin were gone, nobody would be asking.
-    if (plain == origin ||
-        members_[plain].state == MemberState::Live) {
-        *out = plain;
-        *diverted = false;
-        return true;
-    }
-    // Fail over, keeping the origin-keyed spread: a Live owner
-    // first; a Suspect one as last resort (it may merely be slow,
-    // and slow beats Error). Dead and Joining never serve reads --
-    // both are known to be missing writes.
+    // A Live owner first; a Suspect one as last resort (it may
+    // merely be slow, and slow beats Error). Dead and Joining never
+    // serve reads -- both are known to be missing writes.
     const MemberState passes[2] = {MemberState::Live,
                                    MemberState::Suspect};
     for (MemberState want : passes) {
         for (unsigned k = 0; k < count; ++k) {
-            NodeId cand = own[(origin + k) % count];
-            if (members_[cand].state != want)
+            NodeId cand = own[(start + k) % count];
+            if (cand == origin || members_[cand].state != want ||
+                std::find(tried, tried + ntried, cand) !=
+                    tried + ntried)
                 continue;
             *out = cand;
-            *diverted = cand != plain;
             return true;
         }
     }
@@ -772,22 +742,7 @@ KvRouter::pickRetryTarget(Key key, NodeId origin,
 {
     NodeId own[maxReplication];
     unsigned count = ownersInto(key, own, params_.replication);
-    const MemberState passes[2] = {MemberState::Live,
-                                   MemberState::Suspect};
-    for (MemberState want : passes) {
-        for (unsigned i = 0; i < count; ++i) {
-            NodeId cand = own[i];
-            if (cand == origin ||
-                members_[cand].state != want)
-                continue;
-            if (std::find(tried, tried + ntried, cand) !=
-                tried + ntried)
-                continue;
-            *out = cand;
-            return true;
-        }
-    }
-    return false;
+    return failover(own, count, 0, origin, tried, ntried, out);
 }
 
 void
@@ -805,24 +760,15 @@ KvRouter::get(NodeId origin, Key key, GetDone done,
     // matching replica B's counter would confirm a stale value.
     NodeId replica;
     bool steered = false;
-    NodeId steer;
-    if (steerTarget(origin, key, &steer) &&
-        members_[steer].state != MemberState::Dead) {
-        replica = steer;
-        steered = replica != defaultReadReplica(origin, key);
-    } else {
-        bool diverted = false;
-        if (!pickReadTarget(origin, key, &replica, &diverted)) {
-            // Every owner is Dead or Joining: nothing can serve
-            // this read. Fail asynchronously -- callers expect it.
-            failedReads_.inc();
-            sim_.tracer().endSpan(route, sim_.now());
-            sim_.scheduleAfter(0, [done = std::move(done)]() {
-                done(PageBuffer{}, KvStatus::Error);
-            });
-            return;
-        }
-        steered = diverted;
+    if (!routeRead(origin, key, &replica, &steered)) {
+        // Every owner is Dead or Joining: nothing can serve this
+        // read. Fail asynchronously -- callers expect it.
+        failedReads_.inc();
+        sim_.tracer().endSpan(route, sim_.now());
+        sim_.scheduleAfter(0, [done = std::move(done)]() {
+            done(PageBuffer{}, KvStatus::Error);
+        });
+        return;
     }
     if (replica == origin) {
         localOps_.inc();
@@ -863,46 +809,48 @@ KvRouter::get(NodeId origin, Key key, GetDone done,
                              flash::Priority::Read, span);
         return;
     }
-    remoteOps_.inc();
+    std::uint64_t id = nextReqId_++;
+    PendingOp &op = pending_[id];
     // Hot-key cache: a cached (value, version) pair turns this into
     // a conditional get. The replica confirms an unchanged version
     // with a header-only reply and the value is served locally.
-    std::uint64_t cached_version = 0;
     if (KvCache *cache = cacheFor(origin)) {
         if (!steered) {
             cache->touch(key);
             if (const KvCache::Entry *e = cache->lookup(key))
-                cached_version = e->version;
+                op.cachedVersion = e->version;
             else
                 sim_.tracer().mark(route, "cache.miss", sim_.now());
         }
     }
-    std::uint64_t id = nextReqId_++;
-    PendingOp &op = pending_[id];
-    op.sent[0] = replica;
-    op.sentCount = 1;
-    op.attempts = 1;
-    op.remaining = 1;
     op.getDone = std::move(done);
     op.key = key;
     op.origin = origin;
-    op.cachedVersion = cached_version;
     op.steered = steered;
     op.epoch = ringEpoch_;
     op.trace = trace;
     op.routeSpan = route;
-    op.sentTick = sim_.now();
+    sendGet(id, op, replica);
+}
 
+void
+KvRouter::sendGet(std::uint64_t id, PendingOp &op, NodeId to)
+{
+    remoteOps_.inc();
+    op.sent[op.sentCount++] = to;
+    ++op.attempts;
+    ++op.remaining;
+    op.sentTick = sim_.now();
     KvRequest req;
     req.reqId = id;
-    req.key = key;
+    req.key = op.key;
     req.op = KvOp::Get;
-    req.cachedVersion = cached_version;
+    req.cachedVersion = op.cachedVersion;
     req.trace =
-        sim_.tracer().beginSpan(route, "net.req", op.sentTick);
+        sim_.tracer().beginSpan(op.routeSpan, "net.req", op.sentTick);
     cluster_.network()
-        .endpoint(origin, epKvService)
-        .send(replica, kvHeaderBytes, std::move(req));
+        .endpoint(op.origin, epKvService)
+        .send(to, kvHeaderBytes, std::move(req));
     if (params_.readTimeoutUs > 0)
         armOpTimer(id, params_.readTimeoutUs);
 }
@@ -984,8 +932,11 @@ KvRouter::issueWrite(NodeId origin, Key key, KvOp kvop,
     if (KvCache *cache = cacheFor(origin))
         cache->invalidate(key);
 
-    NodeId own[maxReplication];
-    unsigned count = ownersInto(key, own, params_.replication);
+    // own[0..count) are the current ring's owners; during a
+    // join/leave handoff own[count..nown) are the next ring's extras.
+    NodeId own[2 * maxReplication];
+    unsigned count = 0;
+    unsigned nown = unionOwners(mix64(key), own, &count);
 
     // Quorum-eligible targets: the current ring's owners minus the
     // Dead ones. Suspect and Joining owners are still written --
@@ -993,14 +944,14 @@ KvRouter::issueWrite(NodeId origin, Key key, KvOp kvop,
     // falling behind -- but a Dead replica is skipped outright:
     // waiting out its timeout on every write would put the crash
     // on the client latency path.
-    NodeId eligible[maxReplication];
+    NodeId targets[2 * maxReplication]; // eligible, then aux
     unsigned nelig = 0;
     bool clamped = false;
     for (unsigned i = 0; i < count; ++i) {
         if (members_[own[i]].state == MemberState::Dead)
             clamped = true;
         else
-            eligible[nelig++] = own[i];
+            targets[nelig++] = own[i];
     }
     if (clamped && nelig > 0) {
         // Durable on fewer than the configured replicas: certain
@@ -1025,34 +976,19 @@ KvRouter::issueWrite(NodeId origin, Key key, KvOp kvop,
     // along as aux targets, excluded from the quorum -- the client
     // never waits on a node that is still catching up, but new
     // writes stop widening the gap the catch-up sweep must close.
-    NodeId aux[maxReplication];
-    unsigned naux = 0;
-    if (rebalance_) {
-        NodeId nown[maxReplication];
-        unsigned nnew = ownersForHash(rebalance_->newRing,
-                                      mix64(key), nown,
-                                      params_.replication);
-        for (unsigned i = 0; i < nnew; ++i) {
-            if (std::find(own, own + count, nown[i]) != own + count)
-                continue;
-            if (members_[nown[i]].state == MemberState::Dead) {
-                divergent_.insert(key);
-                continue;
-            }
-            aux[naux++] = nown[i];
-        }
+    unsigned total = nelig;
+    for (unsigned i = count; i < nown; ++i) {
+        if (members_[own[i]].state == MemberState::Dead)
+            divergent_.insert(key);
+        else
+            targets[total++] = own[i];
     }
 
     std::uint64_t id = nextReqId_++;
     std::uint64_t stamp = ++nextStamp_;
-    unsigned total = nelig + naux;
-    NodeId targets[2 * maxReplication];
     {
         PendingOp &op = pending_[id];
-        for (unsigned i = 0; i < nelig; ++i)
-            op.sent[i] = eligible[i];
-        for (unsigned i = 0; i < naux; ++i)
-            op.sent[nelig + i] = aux[i];
+        std::copy(targets, targets + total, op.sent);
         op.sentCount = std::uint8_t(total);
         op.eligible = std::uint8_t(nelig);
         op.remaining = total;
@@ -1067,10 +1003,8 @@ KvRouter::issueWrite(NodeId origin, Key key, KvOp kvop,
         op.trace = trace;
         op.routeSpan = route;
         op.sentTick = sim_.now();
-        for (unsigned i = 0; i < total; ++i)
-            targets[i] = op.sent[i];
     }
-    ledgerOpen(key, origin, eligible, nelig);
+    ledgerOpen(key, origin, targets, nelig);
 
     auto bytes = kvHeaderBytes +
         static_cast<std::uint32_t>(value.size());
@@ -1302,7 +1236,6 @@ void
 KvRouter::serveLocal(NodeId node, KvRequest req,
                      std::function<void(KvResponse)> reply)
 {
-    std::uint64_t id = req.reqId;
     // The request's net.req span ends on arrival; the shard span
     // opens as its sibling (both children of the origin's route
     // span), and the reply opens net.resp the same way. `start`
@@ -1313,67 +1246,50 @@ KvRouter::serveLocal(NodeId node, KvRequest req,
     // only run while the shard is alive, and the shard dies with us.
     sim::Tick start = sim_.now();
     sim_.tracer().endSpan(req.trace, start);
+    std::uint64_t span = sim_.tracer().beginSibling(
+        req.trace,
+        req.op == KvOp::Get   ? "shard.get"
+        : req.op == KvOp::Put ? "shard.put"
+                              : "shard.del",
+        start);
+    auto respond = [this, id = req.reqId, start, span,
+                    reply = std::move(reply)](
+                       KvStatus st, PageBuffer value,
+                       std::uint64_t version) {
+        sim::Tick now = sim_.now();
+        KvResponse resp;
+        resp.reqId = id;
+        resp.status = st;
+        resp.version = version;
+        resp.value = std::move(value);
+        resp.serviceTicks = now - start;
+        sim_.tracer().endSpan(span, now);
+        resp.trace = sim_.tracer().beginSibling(span, "net.resp", now);
+        reply(std::move(resp));
+    };
     switch (req.op) {
-      case KvOp::Get: {
-        std::uint64_t span =
-            sim_.tracer().beginSibling(req.trace, "shard.get", start);
+      case KvOp::Get:
         shards_[node]->getIfNewer(
             req.key, req.cachedVersion,
-            [this, id, start, span,
-             reply = std::move(reply)](PageBuffer v, KvStatus st,
-                                       std::uint64_t version) {
-            sim::Tick now = sim_.now();
-            KvResponse resp;
-            resp.reqId = id;
-            resp.status = st;
-            resp.version = version;
-            resp.value = std::move(v);
-            resp.serviceTicks = now - start;
-            sim_.tracer().endSpan(span, now);
-            resp.trace =
-                sim_.tracer().beginSibling(span, "net.resp", now);
-            reply(std::move(resp));
+            [respond = std::move(respond)](PageBuffer v, KvStatus st,
+                                           std::uint64_t version) {
+            respond(st, std::move(v), version);
         },
             flash::Priority::Read, span);
         return;
-      }
-      case KvOp::Put: {
-        std::uint64_t span =
-            sim_.tracer().beginSibling(req.trace, "shard.put", start);
+      case KvOp::Put:
         shards_[node]->put(req.key, std::move(req.value), req.stamp,
-                           [this, id, start, span,
-                            reply = std::move(reply)](KvStatus st) {
-            sim::Tick now = sim_.now();
-            KvResponse resp;
-            resp.reqId = id;
-            resp.status = st;
-            resp.serviceTicks = now - start;
-            sim_.tracer().endSpan(span, now);
-            resp.trace =
-                sim_.tracer().beginSibling(span, "net.resp", now);
-            reply(std::move(resp));
+                           [respond = std::move(respond)](KvStatus st) {
+            respond(st, PageBuffer{}, 0);
         },
                            flash::Priority::Read, span);
         return;
-      }
-      case KvOp::Delete: {
-        std::uint64_t span =
-            sim_.tracer().beginSibling(req.trace, "shard.del", start);
+      case KvOp::Delete:
         shards_[node]->del(req.key, req.stamp,
-                           [this, id, start, span,
-                            reply = std::move(reply)](KvStatus st) {
-            sim::Tick now = sim_.now();
-            KvResponse resp;
-            resp.reqId = id;
-            resp.status = st;
-            resp.serviceTicks = now - start;
-            sim_.tracer().endSpan(span, now);
-            resp.trace =
-                sim_.tracer().beginSibling(span, "net.resp", now);
-            reply(std::move(resp));
+                           [respond = std::move(respond)](KvStatus st) {
+            respond(st, PageBuffer{}, 0);
         });
         return;
-      }
     }
     sim::panic("unknown KV op");
 }
@@ -1464,60 +1380,39 @@ KvRouter::completeOne(std::uint64_t req_id, KvStatus st,
 
     if (!op.write) {
         // Read path: one target in flight at a time.
-        if (!timed_out && st != KvStatus::Error) {
-            if (op.timer != sim::invalidEventId)
-                sim_.cancel(op.timer);
-            PendingOp fin = std::move(op);
-            pending_.erase(it);
-            fin.status = st;
-            fin.version = version;
-            fin.value = std::move(value);
-            finishGet(std::move(fin));
-            return;
+        if (timed_out || st == KvStatus::Error) {
+            // A real storage Error (not a synthesized timeout)
+            // means the serving replica's durable copy is
+            // unreadable -- it marked itself corrupt. Record the
+            // divergence so the next sweep pushes a healthy copy
+            // across even if every retry below also fails.
+            if (!timed_out)
+                divergent_.insert(op.key);
+            // Timeout or storage error: fail over to another
+            // replica. The retry is unconditional and its result
+            // never fills the cache -- it answers from a different
+            // replica's version space (see get()).
+            NodeId next;
+            if (op.attempts <= params_.readRetries &&
+                pickRetryTarget(op.key, op.origin, op.sent,
+                                op.sentCount, &next)) {
+                retriedReads_.inc();
+                op.steered = true;
+                op.cachedVersion = 0;
+                sendGet(req_id, op, next);
+                return;
+            }
+            failedReads_.inc();
+            st = KvStatus::Error;
+            value = PageBuffer{};
         }
-        // A real storage Error (not a synthesized timeout) means
-        // the serving replica's durable copy is unreadable -- it
-        // marked itself corrupt. Record the divergence so the next
-        // sweep pushes a healthy copy across even if every retry
-        // below also fails.
-        if (!timed_out && st == KvStatus::Error)
-            divergent_.insert(op.key);
-        // Timeout or storage error: fail over to another replica.
-        // The retry is unconditional and its result never fills
-        // the cache -- it answers from a different replica's
-        // version space (see get()).
-        NodeId next;
-        if (op.attempts <= params_.readRetries &&
-            pickRetryTarget(op.key, op.origin, op.sent,
-                            op.sentCount, &next)) {
-            retriedReads_.inc();
-            remoteOps_.inc();
-            op.steered = true;
-            op.cachedVersion = 0;
-            op.sent[op.sentCount++] = next;
-            ++op.attempts;
-            ++op.remaining;
-            op.sentTick = sim_.now();
-            KvRequest req;
-            req.reqId = req_id;
-            req.key = op.key;
-            req.op = KvOp::Get;
-            req.trace = sim_.tracer().beginSpan(
-                op.routeSpan, "net.req", op.sentTick);
-            cluster_.network()
-                .endpoint(op.origin, epKvService)
-                .send(next, kvHeaderBytes, std::move(req));
-            if (params_.readTimeoutUs > 0)
-                armOpTimer(req_id, params_.readTimeoutUs);
-            return;
-        }
-        failedReads_.inc();
         if (op.timer != sim::invalidEventId)
             sim_.cancel(op.timer);
         PendingOp fin = std::move(op);
         pending_.erase(it);
-        fin.status = KvStatus::Error;
-        fin.value = PageBuffer{};
+        fin.status = st;
+        fin.version = version;
+        fin.value = std::move(value);
         finishGet(std::move(fin));
         return;
     }
@@ -1659,17 +1554,11 @@ KvRouter::repairSweep(std::function<void()> done)
 void
 KvRouter::sweepChunk(std::shared_ptr<SweepState> state)
 {
-    const bool reb = state->rebalance;
-    std::size_t total =
-        reb ? rebalance_->finer->size() : ring_.size();
+    std::size_t total = sweepRing().size();
     unsigned budget = params_.repairChunk;
     while (budget-- > 0 && state->nextSeg < total &&
-           state->outstanding < params_.repairChunk) {
-        if (reb)
-            rebalanceSegment(state, state->nextSeg++);
-        else
-            sweepSegment(state, state->nextSeg++);
-    }
+           state->outstanding < params_.repairChunk)
+        sweepSegment(state, state->nextSeg++);
     if (state->nextSeg < total) {
         if (state->outstanding >= params_.repairChunk) {
             // In-flight cap reached: park the traversal until the
@@ -1695,12 +1584,11 @@ KvRouter::sweepFinish(const std::shared_ptr<SweepState> &state)
 {
     if (!state->traversalDone || state->outstanding != 0)
         return;
-    if (state->rebalance) {
-        finishRebalance(state);
-        return;
-    }
+    if (rebalance_)
+        finishRebalance();
+    else
+        repairSweeps_.inc();
     sweepRunning_ = false;
-    repairSweeps_.inc();
     if (state->done)
         state->done();
     // Whoever queued behind this sweep -- a ring change, or repair
@@ -1714,17 +1602,19 @@ void
 KvRouter::sweepSegment(std::shared_ptr<SweepState> state,
                        std::size_t seg)
 {
-    // Every key hashing into segment seg -- the ring arc ending at
-    // point seg -- maps to the same replica set: the first R
-    // distinct nodes walking the ring from that point.
-    NodeId own[maxReplication];
-    unsigned count =
-        ownersFromRing(ring_, seg, own, params_.replication);
+    // Every key hashing into segment seg -- the arc of sweepRing()
+    // ending at point seg -- maps to the same replica set: its
+    // owners on the current ring, joined during a handoff by the
+    // next ring's (constant across the arc, by choice of the finer
+    // ring). The newest-stamped state of every key in the arc ends
+    // up on every member -- in particular on the next owners that
+    // lack it.
+    std::uint64_t ranges[2][2];
+    unsigned nranges = segmentRanges(sweepRing(), seg, ranges);
+    NodeId own[2 * maxReplication];
+    unsigned count = unionOwners(ranges[0][0], own);
     if (count < 2)
         return; // unreplicated: nothing to reconcile
-
-    std::uint64_t ranges[2][2];
-    unsigned nranges = segmentRanges(ring_, seg, ranges);
 
     // Reconcilable replicas only: a crashed or Dead copy can
     // neither answer digests nor take pushes. An incomplete
@@ -1732,8 +1622,9 @@ KvRouter::sweepSegment(std::shared_ptr<SweepState> state,
     // keeps its divergence marks and prunes nothing -- the missing
     // replica may hold older state that only its tombstones can
     // kill, and only a sweep that sees the FULL set (after
-    // rebuildNode) may declare the segment clean.
-    NodeId rec[maxReplication];
+    // rebuildNode) may declare the segment clean. A handoff's
+    // catch-up never prunes or clears marks either: it copies.
+    NodeId rec[2 * maxReplication];
     unsigned nrec = 0;
     for (unsigned i = 0; i < count; ++i) {
         MemberState ms = members_[own[i]].state;
@@ -1743,7 +1634,7 @@ KvRouter::sweepSegment(std::shared_ptr<SweepState> state,
              ms == MemberState::Joining))
             rec[nrec++] = own[i];
     }
-    bool complete = nrec == count;
+    bool complete = nrec == count && !rebalance_;
     if (nrec >= 2) {
         for (unsigned r = 0; r < nranges; ++r)
             sweepRange(state, rec, nrec, ranges[r][0],
@@ -1810,7 +1701,7 @@ KvRouter::sweepRange(std::shared_ptr<SweepState> state,
     struct MergedKey
     {
         Key key = 0;
-        Side sides[maxReplication];
+        Side sides[2 * maxReplication]; // a handoff's union
     };
     std::map<std::uint64_t, MergedKey> merged;
     for (unsigned i = 0; i < count; ++i) {
@@ -1861,7 +1752,7 @@ KvRouter::repairKey(std::shared_ptr<SweepState> state, Key key,
                     bool live)
 {
     ++state->outstanding;
-    bool moved = state->rebalance;
+    bool moved = rebalance_ != nullptr;
     auto finish = [this, state, key, moved,
                    alive = alive_](KvStatus st) {
         if (!*alive)

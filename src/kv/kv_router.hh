@@ -26,13 +26,14 @@
  * Standby (kv_types.hh, MemberState). Detection is organic --
  * per-request timers, consecutive timeouts, a grace period -- and
  * routing reacts per state: reads fail over off suspects, writes
- * clamp their quorum past dead replicas, and recovery (rebuild
- * after a crash, catch-up during a join) rides the SAME
- * anti-entropy machinery as straggler repair, at flash
- * Priority::Background so serving latency never queues behind it.
+ * clamp their quorum past dead replicas, and recovery rides the
+ * anti-entropy machinery at flash Priority::Background so serving
+ * latency never queues behind it. One segment traversal serves
+ * straggler repair, crash rebuild and both handoff directions.
  * Ring changes (joinNode/leaveNode) run a two-phase handoff:
- * dual-write to the union of old and new owners while a throttled
- * catch-up sweep copies history, then an atomic ring flip.
+ * dual-write to the union of old and new owners while that
+ * traversal, walking the union's replica sets, copies history;
+ * then an atomic ring flip.
  *
  * Hot-key read path: before a remote get leaves the origin node,
  * the router consults that node's KvCache. On a cached (value,
@@ -66,7 +67,9 @@ namespace bluedbm {
 namespace kv {
 
 /**
- * Router / replication tuning.
+ * Router / replication tuning. Ring points per node (64) and shard
+ * log stripes (5) are constants in kv_router.cc: nothing varies
+ * them.
  */
 struct KvParams
 {
@@ -95,25 +98,8 @@ struct KvParams
      * runUntil(), not run().
      */
     std::uint64_t repairIntervalUs = 0;
-    /** Ring points per node; more points, smoother balance. */
-    unsigned vnodes = 64;
     /** Shard log file name (one per node's file system). */
     std::string shardLog = "kv.shard.log";
-    /**
-     * Independent append chains per shard (KvShard stripes). One
-     * log file serializes a node's puts behind a single tail page
-     * (one program in flight at a time); striping multiplies the
-     * per-node write ceiling and feeds the flash server's
-     * program-coalescing stage when stripes land on one bus. The
-     * hot-shard write backlog under quorum acks is exactly what
-     * this bounds: stragglers drain at S chains, not one. More
-     * stripes also dilute group-commit amortization (fewer puts
-     * absorbed per tail-page program, so more chip-busy program
-     * windows stalling reads); the default is the empirical sweet
-     * spot of the 20-node serving bench, where both the write p99
-     * and throughput targets clear with margin.
-     */
-    unsigned logStripes = 5;
     /** Hot-key cache slots per node (0 disables the cache). */
     unsigned cacheSlots = 128;
     /** Sketch estimate required before a key may occupy a cache
@@ -425,16 +411,19 @@ class KvRouter
     /** Hash ring: (point, node), sorted by point. */
     using Ring = std::vector<std::pair<std::uint64_t, net::NodeId>>;
 
-    /** First @p max distinct nodes walking @p ring from
-     * @p ring_index. Shared by key-owner lookup and the repair
-     * sweep's per-segment replica sets, so both always agree on
-     * what the replica set of a ring arc is. */
-    static unsigned ownersFromRing(const Ring &ring,
-                                   std::size_t ring_index,
-                                   net::NodeId *out, unsigned max);
-    /** Owner set of hash point @p h on @p ring. */
+    /** Owner set of hash point @p h on @p ring: the first @p max
+     * distinct nodes walking the ring from h. Shared by key-owner
+     * lookup and the sweep's per-segment replica sets, so both
+     * always agree on what the replica set of a ring arc is. */
     static unsigned ownersForHash(const Ring &ring, std::uint64_t h,
                                   net::NodeId *out, unsigned max);
+    /** Replica set of hash point @p h: its owners on the current
+     * ring, then, while a join/leave handoff runs, the owners only
+     * the next ring has. Fills up to 2 * maxReplication nodes;
+     * returns the total and sets *@p current (when given) to the
+     * current-ring count. */
+    unsigned unionOwners(std::uint64_t h, net::NodeId *out,
+                         unsigned *current = nullptr) const;
     /** Hash range(s) of @p ring's segment @p seg (the arc ending at
      * point seg; segment 0 also owns the wrap-around arc). Fills
      * inclusive [lo, hi] pairs; returns how many (1 or 2). */
@@ -554,42 +543,54 @@ class KvRouter
     };
 
     /** One join/leave handoff in flight (phase 1: dual-write +
-     * catch-up sweep; finishRebalance() is phase 2, the flip). */
+     * catch-up traversal; finishRebalance() is phase 2, the flip).
+     * ring_ stays the old ring until the flip. */
     struct Rebalance
     {
-        Ring oldRing; //!< the ring in force until the flip
         Ring newRing; //!< the ring installed at the flip
-        /** Whichever ring has MORE points (new for a join, old for
-         * a leave): its points are a superset of the other's, so
-         * its segments have constant owner sets under BOTH rings --
-         * the granularity the catch-up traversal walks. */
+        /** Whichever ring has MORE points (new for a join, ring_
+         * for a leave): its points are a superset of the other's,
+         * so its segments have constant owner sets under BOTH
+         * rings -- the granularity the catch-up traversal walks. */
         const Ring *finer = nullptr;
         net::NodeId node = 0;
         bool joining = false;
-        std::function<void()> done;
     };
 
     KvCache *cacheFor(net::NodeId n) { return caches_[n].get(); }
 
-    /** The plain deterministic read choice: liveness-blind, so the
-     * conditional-get/cache-fill gate (only plain-routed results
-     * may touch the cache) stays stable across membership churn. */
-    net::NodeId defaultReadReplica(net::NodeId origin,
-                                   Key key) const;
+    /** The plain deterministic read choice among @p own: the
+     * origin when it holds a replica, else the origin-keyed spread.
+     * Liveness-blind, so the conditional-get/cache-fill gate (only
+     * plain-routed results may touch the cache) stays stable across
+     * membership churn. */
+    static net::NodeId plainRead(net::NodeId origin,
+                                 const net::NodeId *own,
+                                 unsigned count);
     /** Ledger constraint on @p origin's read of @p key: true (and
      * *out set) when an outstanding client-acked write obliges the
      * read to hit a specific replica. */
     [[nodiscard]] bool steerTarget(net::NodeId origin, Key key,
                      net::NodeId *out) const;
-    /** Liveness-aware read routing: the plain choice when it is
-     * Live, else a Live owner, else a Suspect one (last resort).
-     * False when no owner is readable. *diverted reports whether
-     * the pick differs from the plain choice (cache gate). */
-    [[nodiscard]] bool pickReadTarget(net::NodeId origin, Key key,
-                        net::NodeId *out, bool *diverted) const;
-    /** A readable replica for a read retry, excluding @p origin
-     * (local ops have no timeout machinery) and every node in
-     * @p tried (the already-attempted sent[] prefix). */
+    /** Read routing, in priority order: the ledger steer, the plain
+     * pick while it is local or Live, then failover(). False (with
+     * *out the plain pick) when no owner is readable. *steered
+     * reports a pick other than the plain one (cache gate). */
+    [[nodiscard]] bool routeRead(net::NodeId origin, Key key,
+                                 net::NodeId *out,
+                                 bool *steered) const;
+    /** Failover scan of @p own from index @p start: a Live owner
+     * first, a Suspect one as last resort, never @p origin (local
+     * ops have no timeout machinery) nor a node in @p tried (the
+     * already-attempted sent[] prefix). */
+    [[nodiscard]] bool failover(const net::NodeId *own,
+                                unsigned count, unsigned start,
+                                net::NodeId origin,
+                                const net::NodeId *tried,
+                                unsigned ntried,
+                                net::NodeId *out) const;
+    /** A readable replica for a read retry: failover() from the
+     * primary. */
     [[nodiscard]] bool pickRetryTarget(Key key, net::NodeId origin,
                          const net::NodeId *tried, unsigned ntried,
                          net::NodeId *out) const;
@@ -613,6 +614,9 @@ class KvRouter
                      flash::PageBuffer value, std::uint64_t version,
                      net::NodeId from, bool timed_out = false,
                      sim::Tick service_ticks = 0);
+    /** Send get op @p id (@p op) to replica @p to: its first
+     * attempt or a failover retry. Arms the read timer. */
+    void sendGet(std::uint64_t id, PendingOp &op, net::NodeId to);
     /** Arm (or re-arm) op @p id's timeout timer for @p us. */
     void armOpTimer(std::uint64_t id, std::uint64_t us);
     /** Origin's local read of @p key hit a corrupt durable copy:
@@ -660,23 +664,26 @@ class KvRouter
     void beginRebalance(net::NodeId n, bool joining,
                         std::function<void()> done);
     /** Phase 2: flip the ring, purge stale cache entries, settle
-     * the member's state, release the exclusive lock. */
-    void finishRebalance(const std::shared_ptr<SweepState> &state);
+     * the member's state. */
+    void finishRebalance();
     /** Hand the sweep/handoff lock to whoever queued for it. */
     void releaseExclusive();
 
+    /** The ring a sweep walks: the finer ring during a handoff. */
+    const Ring &sweepRing() const
+    {
+        return rebalance_ ? *rebalance_->finer : ring_;
+    }
     /** Reconcile the next chunk of ring segments, then yield. */
     void sweepChunk(std::shared_ptr<SweepState> state);
-    /** Complete the sweep when traversal and repairs are done. */
+    /** Complete the sweep (or the handoff's flip) when traversal
+     * and repairs are done, then release the lock. */
     void sweepFinish(const std::shared_ptr<SweepState> &state);
-    /** Compare + repair one ring segment ([lo,hi] on the hash
-     * ring, replica set shared by every key in it). */
+    /** Compare + repair one segment of sweepRing() (its [lo,hi]
+     * range(s) share one replica set, unionOwners()). Repair,
+     * rebuild, join and leave all run on this. */
     void sweepSegment(std::shared_ptr<SweepState> state,
                       std::size_t seg);
-    /** Catch-up variant: one finer-ring segment, replica set the
-     * union of old- and new-ring owners. */
-    void rebalanceSegment(std::shared_ptr<SweepState> state,
-                          std::size_t seg);
     /** Reconcile one (lo,hi) hash range across ALL of the
      * segment's replicas at once (pairwise-vs-primary would miss a
      * divergence between two non-primary replicas at R >= 3). */

@@ -22,10 +22,18 @@ KvService::addClient(net::NodeId origin, const ClientParams &params)
     return ClientId(clients_.size() - 1);
 }
 
+template <typename Run>
 void
-KvService::submit(ClientId client, Launch launch,
-                  std::function<void()> reject)
+KvService::admit(ClientId client, const char *name, Key trace_key,
+                 Run run)
 {
+    // Root of the op's span tree; 0 when the op was not sampled
+    // (every tracer call below then early-outs). The trace covers
+    // the client-perceived lifetime, queueing included.
+    sim::Tick enq = sim_.now();
+    std::uint64_t root = sim_.tracer().beginTrace(name, enq, trace_key);
+    std::uint64_t qspan =
+        sim_.tracer().beginSpan(root, "svc.queue", enq);
     Client &c = clients_.at(client);
     if (c.queue.size() >= c.params.queueCap) {
         rejected_.inc();
@@ -37,13 +45,21 @@ KvService::submit(ClientId client, Launch launch,
             (1 + c.queue.size() / std::max(1u, c.params.window));
         // Completes on a fresh event like every other path: callers
         // may rely on done never firing re-entrantly.
-        sim_.scheduleAfter(0, [reject = std::move(reject)]() {
-            reject();
+        sim_.scheduleAfter(0, [&sim = sim_, root,
+                               run = std::move(run)]() mutable {
+            sim.tracer().endTrace(root, sim.now());
+            run(Slot{}, root);
         });
         return;
     }
     admitted_.inc();
-    c.queue.push_back(std::move(launch));
+    c.queue.push_back([this, root, qspan, enq,
+                       run = std::move(run)](Slot slot) mutable {
+        sim::Tick launched = sim_.now();
+        stageAdmission_.record(launched - enq);
+        sim_.tracer().endSpan(qspan, launched);
+        run(std::move(slot), root);
+    });
     pump(client);
     // High-water mark of operations actually left waiting (an op
     // that dispatched straight into a window slot never queued).
@@ -73,34 +89,22 @@ void
 KvService::get(ClientId client, Key key, KvRouter::GetDone done)
 {
     net::NodeId origin = clients_.at(client).origin;
-    // Root of the op's span tree; 0 when the op was not sampled
-    // (every tracer call below then early-outs). The trace covers
-    // the client-perceived lifetime, queueing included.
-    sim::Tick enq = sim_.now();
-    std::uint64_t root = sim_.tracer().beginTrace("kv.get", enq, key);
-    std::uint64_t qspan =
-        sim_.tracer().beginSpan(root, "svc.queue", enq);
-    auto done_sh =
-        std::make_shared<KvRouter::GetDone>(std::move(done));
-    submit(client,
-           [this, origin, key, done_sh, root, qspan,
-            enq](std::function<void()> slot) {
-        sim::Tick launched = sim_.now();
-        stageAdmission_.record(launched - enq);
-        sim_.tracer().endSpan(qspan, launched);
+    admit(client, "kv.get", key,
+          [this, origin, key, done = std::move(done)](
+              Slot slot, std::uint64_t root) mutable {
+        if (!slot) {
+            done(PageBuffer{}, KvStatus::Overloaded);
+            return;
+        }
         router_.get(origin, key,
-                    [&sim = sim_, done_sh, root,
+                    [&sim = sim_, done = std::move(done), root,
                      slot = std::move(slot)](PageBuffer v,
                                              KvStatus st) {
             slot();
             sim.tracer().endTrace(root, sim.now());
-            (*done_sh)(std::move(v), st);
+            done(std::move(v), st);
         },
                     root);
-    },
-           [&sim = sim_, done_sh, root]() {
-        sim.tracer().endTrace(root, sim.now());
-        (*done_sh)(PageBuffer{}, KvStatus::Overloaded);
     });
 }
 
@@ -109,19 +113,14 @@ KvService::put(ClientId client, Key key, PageBuffer value,
                KvRouter::AckDone done)
 {
     net::NodeId origin = clients_.at(client).origin;
-    auto done_sh =
-        std::make_shared<KvRouter::AckDone>(std::move(done));
-    auto value_sh = std::make_shared<PageBuffer>(std::move(value));
-    sim::Tick enq = sim_.now();
-    std::uint64_t root = sim_.tracer().beginTrace("kv.put", enq, key);
-    std::uint64_t qspan =
-        sim_.tracer().beginSpan(root, "svc.queue", enq);
-    submit(client,
-           [this, client, origin, key, done_sh, value_sh, root,
-            qspan, enq](std::function<void()> slot) {
-        sim::Tick launched = sim_.now();
-        stageAdmission_.record(launched - enq);
-        sim_.tracer().endSpan(qspan, launched);
+    admit(client, "kv.put", key,
+          [this, client, origin, key, value = std::move(value),
+           done = std::move(done)](Slot slot,
+                                   std::uint64_t root) mutable {
+        if (!slot) {
+            done(KvStatus::Overloaded);
+            return;
+        }
         // The client completes at the quorum ack, but the window
         // slot stays charged until every replica settled: the
         // op's straggler writes still occupy flash and network,
@@ -129,9 +128,9 @@ KvService::put(ClientId client, Key key, PageBuffer value,
         // closed-loop client overrun the node (see KvRouter::put).
         // The trace ends with the client too -- endTrace closes
         // any straggler replica span still open at that instant.
-        router_.put(origin, key, std::move(*value_sh),
-                    [this, alive = alive_, client, done_sh,
-                     root](KvStatus st) {
+        router_.put(origin, key, std::move(value),
+                    [this, alive = alive_, client,
+                     done = std::move(done), root](KvStatus st) {
             sim_.tracer().endTrace(root, sim_.now());
             if (st == KvStatus::Pressure && *alive) {
                 // Capacity red line at the owning shard: surface
@@ -145,13 +144,9 @@ KvService::put(ClientId client, Key key, PageBuffer value,
                     cl.retryAfterUs = cl.params.pressureRetryUs;
                 st = KvStatus::Overloaded;
             }
-            (*done_sh)(st);
+            done(st);
         },
-                    [slot = std::move(slot)]() { slot(); }, root);
-    },
-           [&sim = sim_, done_sh, root]() {
-        sim.tracer().endTrace(root, sim.now());
-        (*done_sh)(KvStatus::Overloaded);
+                    std::move(slot), root);
     });
 }
 
@@ -159,28 +154,20 @@ void
 KvService::del(ClientId client, Key key, KvRouter::AckDone done)
 {
     net::NodeId origin = clients_.at(client).origin;
-    auto done_sh =
-        std::make_shared<KvRouter::AckDone>(std::move(done));
-    sim::Tick enq = sim_.now();
-    std::uint64_t root = sim_.tracer().beginTrace("kv.del", enq, key);
-    std::uint64_t qspan =
-        sim_.tracer().beginSpan(root, "svc.queue", enq);
-    submit(client,
-           [this, origin, key, done_sh, root, qspan,
-            enq](std::function<void()> slot) {
-        sim::Tick launched = sim_.now();
-        stageAdmission_.record(launched - enq);
-        sim_.tracer().endSpan(qspan, launched);
+    admit(client, "kv.del", key,
+          [this, origin, key, done = std::move(done)](
+              Slot slot, std::uint64_t root) mutable {
+        if (!slot) {
+            done(KvStatus::Overloaded);
+            return;
+        }
         router_.del(origin, key,
-                    [&sim = sim_, done_sh, root](KvStatus st) {
+                    [&sim = sim_, done = std::move(done),
+                     root](KvStatus st) {
             sim.tracer().endTrace(root, sim.now());
-            (*done_sh)(st);
+            done(st);
         },
-                    [slot = std::move(slot)]() { slot(); }, root);
-    },
-           [&sim = sim_, done_sh, root]() {
-        sim.tracer().endTrace(root, sim.now());
-        (*done_sh)(KvStatus::Overloaded);
+                    std::move(slot), root);
     });
 }
 
@@ -189,37 +176,27 @@ KvService::multiGet(ClientId client, std::vector<Key> keys,
                     KvRouter::MultiGetDone done)
 {
     net::NodeId origin = clients_.at(client).origin;
-    auto done_sh =
-        std::make_shared<KvRouter::MultiGetDone>(std::move(done));
-    auto keys_sh =
-        std::make_shared<std::vector<Key>>(std::move(keys));
-    sim::Tick enq = sim_.now();
-    std::uint64_t root = sim_.tracer().beginTrace(
-        "kv.scan", enq, keys_sh->empty() ? 0 : keys_sh->front());
-    std::uint64_t qspan =
-        sim_.tracer().beginSpan(root, "svc.queue", enq);
-    submit(client,
-           [this, origin, done_sh, keys_sh, root, qspan,
-            enq](std::function<void()> slot) {
-        sim::Tick launched = sim_.now();
-        stageAdmission_.record(launched - enq);
-        sim_.tracer().endSpan(qspan, launched);
-        router_.multiGet(origin, std::move(*keys_sh),
-                         [&sim = sim_, done_sh, root,
+    Key first = keys.empty() ? 0 : keys.front();
+    admit(client, "kv.scan", first,
+          [this, origin, keys = std::move(keys),
+           done = std::move(done)](Slot slot,
+                                   std::uint64_t root) mutable {
+        if (!slot) {
+            done(std::vector<PageBuffer>(keys.size()),
+                 std::vector<KvStatus>(keys.size(),
+                                       KvStatus::Overloaded));
+            return;
+        }
+        router_.multiGet(origin, std::move(keys),
+                         [&sim = sim_, done = std::move(done), root,
                           slot = std::move(slot)](
                              std::vector<PageBuffer> values,
                              std::vector<KvStatus> sts) {
             slot();
             sim.tracer().endTrace(root, sim.now());
-            (*done_sh)(std::move(values), std::move(sts));
+            done(std::move(values), std::move(sts));
         },
                          root);
-    },
-           [&sim = sim_, done_sh, keys_sh, root]() {
-        sim.tracer().endTrace(root, sim.now());
-        (*done_sh)(std::vector<PageBuffer>(keys_sh->size()),
-                   std::vector<KvStatus>(keys_sh->size(),
-                                         KvStatus::Overloaded));
     });
 }
 

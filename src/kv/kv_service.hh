@@ -171,10 +171,11 @@ class KvService
     ///@}
 
   private:
-    /** A queued operation: fires the real dispatch when a window
-     * slot frees up, receiving the completion hook to call when the
-     * operation finishes. */
-    using Launch = std::function<void(std::function<void()>)>;
+    /** Window-slot release hook: a launched operation calls it
+     * when it finishes (empty for a rejected one). */
+    using Slot = std::function<void()>;
+    /** A queued operation: fires when a window slot frees up. */
+    using Launch = std::function<void(Slot)>;
 
     struct Client
     {
@@ -186,10 +187,19 @@ class KvService
         std::uint64_t retryAfterUs = 0;
     };
 
-    /** Admit (or reject) one operation for @p client. @p reject
-     * must complete the caller's callback with Overloaded. */
-    void submit(ClientId client, Launch launch,
-                std::function<void()> reject);
+    /**
+     * Admit (or reject) one operation for @p client: opens its
+     * trace (@p name, keyed by @p trace_key) and svc.queue span,
+     * and records kv.stage.admission at launch. @p run is the op
+     * body, called as run(Slot, trace root) exactly once: with the
+     * release hook when the op launches, or -- on a fresh event,
+     * trace already ended -- with an empty Slot when admission
+     * rejected it, in which case it completes the caller with
+     * Overloaded.
+     */
+    template <typename Run>
+    void admit(ClientId client, const char *name, Key trace_key,
+               Run run);
 
     /** Dispatch queued work while the window has room. */
     void pump(ClientId client);
@@ -209,7 +219,7 @@ class KvService
     sim::Counter &rejected_;
     sim::Counter &pressured_;
     /** Always-on admission-wait histogram (ticks, one sample per
-     * admitted op): submit() to window-slot launch. The front end
+     * admitted op): admit() to window-slot launch. The front end
      * of the kv.stage.* breakdown -- see docs/observability.md. */
     sim::LatencyHistogram &stageAdmission_;
 };

@@ -93,12 +93,7 @@ KvShard::put(Key key, PageBuffer value, std::uint64_t stamp,
                     : fs_.underPressure();
     if (shed) {
         pressuredPuts_.inc();
-        sim_.scheduleAfter(0, [alive = alive_,
-                               done = std::move(done)]() {
-            if (!*alive)
-                return;
-            done(KvStatus::Pressure);
-        });
+        defer([done = std::move(done)]() { done(KvStatus::Pressure); });
         return;
     }
     auto len = static_cast<std::uint32_t>(value.size());
@@ -274,10 +269,7 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
     auto it = index_.find(key);
     if (it == index_.end()) {
         misses_.inc();
-        sim_.scheduleAfter(0, [alive = alive_,
-                               done = std::move(done)]() {
-            if (!*alive)
-                return;
+        defer([done = std::move(done)]() {
             done(PageBuffer{}, KvStatus::NotFound, 0);
         });
         return;
@@ -289,10 +281,7 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
         // read, no value bytes.
         validatedGets_.inc();
         sim_.tracer().mark(trace, "shard.validated", sim_.now());
-        sim_.scheduleAfter(0, [alive = alive_, version,
-                               done = std::move(done)]() {
-            if (!*alive)
-                return;
+        defer([version, done = std::move(done)]() {
             done(PageBuffer{}, KvStatus::Ok, version);
         });
         return;
@@ -302,11 +291,8 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
         memtableHits_.inc();
         sim_.tracer().mark(trace, "shard.memtable", sim_.now());
         PageBuffer value = mem->second; // copy: append still owns it
-        sim_.scheduleAfter(0, [alive = alive_, version,
-                               value = std::move(value),
-                               done = std::move(done)]() mutable {
-            if (!*alive)
-                return;
+        defer([version, value = std::move(value),
+               done = std::move(done)]() mutable {
             done(std::move(value), KvStatus::Ok, version);
         });
         return;
@@ -388,12 +374,7 @@ KvShard::del(Key key, std::uint64_t stamp, AckDone done)
     // repair-index state everywhere it DID arrive, or anti-entropy
     // would re-detect the difference on every sweep.
     byHash_[mix64(key)] = HashState{key, stamp, false};
-    sim_.scheduleAfter(0, [alive = alive_, st,
-                           done = std::move(done)]() {
-        if (!*alive)
-            return;
-        done(st);
-    });
+    defer([st, done = std::move(done)]() { done(st); });
 }
 
 std::uint64_t
@@ -446,26 +427,28 @@ KvShard::rangeEntries(std::uint64_t lo, std::uint64_t hi,
                                  it->second.corrupt});
 }
 
+bool
+KvShard::ackIfCaughtUp(Key key, std::uint64_t stamp, AckDone &done)
+{
+    // The shard caught up on its own (a newer write landed, or an
+    // earlier repair already applied): nothing to push. A CORRUPT
+    // local copy never blocks the push, whatever its stamp: its
+    // bytes are gone, so a replica's equal-stamp (or even older)
+    // copy is strictly better than garbage.
+    auto hit = byHash_.find(mix64(key));
+    if (hit == byHash_.end() || hit->second.corrupt ||
+        hit->second.stamp < stamp)
+        return false;
+    defer([done = std::move(done)]() { done(KvStatus::Ok); });
+    return true;
+}
+
 void
 KvShard::repairPut(Key key, PageBuffer value, std::uint64_t stamp,
                    AckDone done)
 {
-    auto hit = byHash_.find(mix64(key));
-    if (hit != byHash_.end() && !hit->second.corrupt &&
-        hit->second.stamp >= stamp) {
-        // The shard caught up on its own (a newer write landed, or
-        // an earlier repair already applied): nothing to push. A
-        // CORRUPT local copy never blocks the push, whatever its
-        // stamp: its bytes are gone, so a replica's equal-stamp
-        // (or even older) copy is strictly better than garbage.
-        sim_.scheduleAfter(0, [alive = alive_,
-                               done = std::move(done)]() {
-            if (!*alive)
-                return;
-            done(KvStatus::Ok);
-        });
+    if (ackIfCaughtUp(key, stamp, done))
         return;
-    }
     // Count only on success: a failed append rolls back and acks
     // Error, and the router re-marks the key for the next sweep.
     // Repair is maintenance: its log append rides the background
@@ -482,17 +465,8 @@ KvShard::repairPut(Key key, PageBuffer value, std::uint64_t stamp,
 void
 KvShard::repairDel(Key key, std::uint64_t stamp, AckDone done)
 {
-    auto hit = byHash_.find(mix64(key));
-    if (hit != byHash_.end() && !hit->second.corrupt &&
-        hit->second.stamp >= stamp) {
-        sim_.scheduleAfter(0, [alive = alive_,
-                               done = std::move(done)]() {
-            if (!*alive)
-                return;
-            done(KvStatus::Ok);
-        });
+    if (ackIfCaughtUp(key, stamp, done))
         return;
-    }
     // del applies the tombstone unconditionally (NotFound just
     // means the key was already absent): always a state change.
     repairsApplied_.inc();

@@ -364,6 +364,26 @@ class KvShard
      * back uncorrectable) so the anti-entropy machinery heals it. */
     void markCorrupt(Key key);
 
+    /** Run completion @p fn on a fresh event (callers may rely on
+     * done never firing re-entrantly), unless the shard died
+     * first. */
+    template <typename Fn>
+    void
+    defer(Fn fn)
+    {
+        sim_.scheduleAfter(0, [alive = alive_,
+                               fn = std::move(fn)]() mutable {
+            if (*alive)
+                fn();
+        });
+    }
+
+    /** Stamp guard of repairPut/repairDel: true, with @p done acked
+     * Ok on a fresh event, when the shard already holds an intact
+     * state of @p key at or past @p stamp. */
+    [[nodiscard]] bool ackIfCaughtUp(Key key, std::uint64_t stamp,
+                                     AckDone &done);
+
     /** Log file of @p key: stripes decorrelate from the routing
      * ring by using different mix64 bits. */
     const std::string &

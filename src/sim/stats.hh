@@ -113,69 +113,6 @@ class Accumulator
 };
 
 /**
- * Fixed-width-bucket histogram with overflow bucket, suitable for
- * latency distributions.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width width of each bucket (same unit as samples)
-     * @param buckets      number of regular buckets
-     */
-    Histogram(double bucket_width, std::size_t buckets)
-        : width_(bucket_width), counts_(buckets + 1, 0)
-    {
-    }
-
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        acc_.sample(v);
-        auto idx = static_cast<std::size_t>(v / width_);
-        if (idx >= counts_.size() - 1)
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-
-    /** Count in bucket @p i (last bucket is overflow). */
-    std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-
-    /** Number of buckets including overflow. */
-    std::size_t buckets() const { return counts_.size(); }
-
-    /** Underlying scalar statistics. */
-    const Accumulator &acc() const { return acc_; }
-
-    /**
-     * Approximate quantile from bucket boundaries.
-     *
-     * @param q quantile in [0,1]
-     * @return upper bound of the bucket containing the quantile
-     */
-    double
-    quantile(double q) const
-    {
-        std::uint64_t target =
-            static_cast<std::uint64_t>(q * static_cast<double>(
-                acc_.count()));
-        std::uint64_t seen = 0;
-        for (std::size_t i = 0; i < counts_.size(); ++i) {
-            seen += counts_[i];
-            if (seen > target)
-                return width_ * static_cast<double>(i + 1);
-        }
-        return width_ * static_cast<double>(counts_.size());
-    }
-
-  private:
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    Accumulator acc_;
-};
-
-/**
  * HDR-style latency histogram over integer values (typically ticks).
  *
  * Values are bucketed logarithmically with 128 sub-buckets per power
@@ -183,8 +120,8 @@ class Histogram
  * across the whole 64-bit range while using tens of kilobytes of
  * counters regardless of how many samples are recorded. This is what
  * a tail-latency report needs: p99.9 of a million samples without
- * storing a million values (compare plain Histogram, whose fixed
- * bucket width must be chosen per workload). The sub-bucket count
+ * storing a million values, and with no bucket width to choose per
+ * workload, as a fixed-width histogram would need. The sub-bucket count
  * is chosen so that p99s of benchmark configs at adjacent scales
  * never quantize into one bucket edge: at ~1ms tick values a bucket
  * is ~4us wide, well under the differences the KV bench reports.

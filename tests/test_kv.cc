@@ -1976,3 +1976,159 @@ TEST(KvService, PressureSurfacesAsOverloadedWithRetryAfter)
     EXPECT_EQ(gst, KvStatus::Ok);
     EXPECT_EQ(got, val(0xaa));
 }
+
+// ---------------------------------------------------------------- //
+// Handoff shapes of the one reconciliation traversal
+// ---------------------------------------------------------------- //
+
+namespace {
+
+/** Key k of the handoff cases, spread over the hash space: keys
+ * below 64 hash exactly onto node 0's ring points (vnode v of node
+ * n sits at mix64((n << 32) | v)), so node 0 would own them all. */
+Key
+spreadKey(unsigned k)
+{
+    return 1000 + 37 * Key(k);
+}
+
+/** Put spreadKey(k) = val(fill[k]) for every k, issued round-robin
+ * from the first @p writers nodes. */
+void
+putSpread(kv::KvRouter &router, const std::vector<std::uint8_t> &fill,
+          unsigned writers)
+{
+    for (unsigned k = 0; k < fill.size(); ++k)
+        router.put(net::NodeId(k % writers), spreadKey(k),
+                   val(fill[k]), [](KvStatus) {});
+}
+
+/** Every key serves its latest value from every origin, and no
+ * divergence is left. */
+void
+expectServedEverywhere(sim::Simulator &sim, kv::KvRouter &router,
+                       unsigned nodes,
+                       const std::vector<std::uint8_t> &fill)
+{
+    for (unsigned k = 0; k < fill.size(); ++k) {
+        for (unsigned o = 0; o < nodes; ++o) {
+            PageBuffer got;
+            KvStatus st = KvStatus::Error;
+            router.get(net::NodeId(o), spreadKey(k),
+                       [&](PageBuffer v, KvStatus s) {
+                got = std::move(v);
+                st = s;
+            });
+            sim.run();
+            EXPECT_EQ(st, KvStatus::Ok)
+                << "key " << spreadKey(k) << " origin " << o;
+            EXPECT_EQ(got, val(fill[k]))
+                << "key " << spreadKey(k) << " origin " << o;
+        }
+    }
+    EXPECT_EQ(router.divergentWrites(), 0u);
+}
+
+/** Node 3 joins three active nodes, or node 2 leaves four, at
+ * replication @p r, with writes racing the handoff. */
+void
+runHandoff(unsigned r, bool join)
+{
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(4));
+    kv::KvParams kp;
+    kp.cacheSlots = 0;
+    kp.replication = r;
+    kp.activeNodes = join ? 3 : 0;
+    kv::KvRouter router(sim, cluster, kp);
+    const unsigned writers = join ? 3 : 4;
+    const net::NodeId n(join ? 3 : 2);
+
+    std::vector<std::uint8_t> fill(48);
+    for (unsigned k = 0; k < fill.size(); ++k)
+        fill[k] = std::uint8_t(k);
+    putSpread(router, fill, writers);
+    sim.run();
+
+    bool done = false;
+    if (join)
+        router.joinNode(n, [&]() { done = true; });
+    else
+        router.leaveNode(n, [&]() { done = true; });
+    std::vector<std::uint8_t> racing(8);
+    for (unsigned k = 0; k < racing.size(); ++k)
+        racing[k] = fill[k] = std::uint8_t(0xe0 + k);
+    putSpread(router, racing, writers);
+    sim.run();
+
+    EXPECT_TRUE(done);
+    EXPECT_EQ(router.ringEpoch(), 1u);
+    EXPECT_EQ(router.member(n), join ? kv::MemberState::Live
+                                     : kv::MemberState::Standby);
+    EXPECT_GT(router.movedKeys(), 0u);
+    bool owns_any = false;
+    for (unsigned k = 0; k < fill.size(); ++k) {
+        auto own = router.owners(spreadKey(k));
+        owns_any = owns_any ||
+            std::count(own.begin(), own.end(), n) != 0;
+    }
+    EXPECT_EQ(owns_any, join);
+    expectServedEverywhere(sim, router, 4, fill);
+}
+
+} // namespace
+
+TEST(KvRouter, JoinAtR1CopiesMovedArcs)
+{
+    // A plain sweep at R=1 has nothing to reconcile; the handoff's
+    // two-owner union (old owner, joiner) still copies each arc.
+    runHandoff(1, true);
+}
+
+TEST(KvRouter, JoinAtR3CopiesMovedArcs)
+{
+    runHandoff(3, true);
+}
+
+TEST(KvRouter, LeaveAtR1CopiesMovedArcs)
+{
+    runHandoff(1, false);
+}
+
+TEST(KvRouter, SweepJoinSweepRunInIssueOrder)
+{
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(4));
+    kv::KvParams kp;
+    kp.cacheSlots = 0;
+    kp.activeNodes = 3;
+    kv::KvRouter router(sim, cluster, kp);
+
+    std::vector<std::uint8_t> fill(48);
+    for (unsigned k = 0; k < fill.size(); ++k)
+        fill[k] = std::uint8_t(k);
+    putSpread(router, fill, 3);
+    sim.run();
+
+    // Sweeps and ring changes share one lock: the join queues
+    // behind the first sweep, and the second sweep behind the join.
+    // Each callback records the ring epoch it completed under.
+    std::vector<std::pair<int, std::uint64_t>> order;
+    router.repairSweep(
+        [&]() { order.emplace_back(1, router.ringEpoch()); });
+    router.joinNode(net::NodeId(3), [&]() {
+        order.emplace_back(2, router.ringEpoch());
+    });
+    router.repairSweep(
+        [&]() { order.emplace_back(3, router.ringEpoch()); });
+    sim.run();
+
+    using Done = std::pair<int, std::uint64_t>;
+    EXPECT_EQ(order,
+              (std::vector<Done>{{1, 0}, {2, 1}, {3, 1}}));
+    EXPECT_EQ(router.ringEpoch(), 1u);
+    EXPECT_EQ(router.repairSweeps(), 2u);
+    EXPECT_EQ(router.member(net::NodeId(3)), kv::MemberState::Live);
+    EXPECT_GT(router.movedKeys(), 0u);
+    expectServedEverywhere(sim, router, 4, fill);
+}

@@ -61,40 +61,6 @@ TEST(Accumulator, ResetClearsState)
     EXPECT_DOUBLE_EQ(a.mean(), 3.0);
 }
 
-TEST(Histogram, BucketsSamplesCorrectly)
-{
-    sim::Histogram h(10.0, 5);
-    h.sample(0.0);   // bucket 0
-    h.sample(9.99);  // bucket 0
-    h.sample(10.0);  // bucket 1
-    h.sample(49.0);  // bucket 4
-    h.sample(1000);  // overflow
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(4), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.buckets(), 6u);
-}
-
-TEST(Histogram, QuantileApproximation)
-{
-    sim::Histogram h(1.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.sample(static_cast<double>(i) + 0.5);
-    // Median should be near 50.
-    EXPECT_NEAR(h.quantile(0.5), 51.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 91.0, 1.5);
-}
-
-TEST(Histogram, TracksUnderlyingAccumulator)
-{
-    sim::Histogram h(1.0, 4);
-    h.sample(1.0);
-    h.sample(3.0);
-    EXPECT_EQ(h.acc().count(), 2u);
-    EXPECT_DOUBLE_EQ(h.acc().mean(), 2.0);
-}
-
 namespace {
 
 /** Exact quantile of a sorted sample vector (ceil-rank definition,
