@@ -1,12 +1,12 @@
 /**
  * @file
- * Shared helpers for the paper-reproduction benches: paper-style
- * table printing, windowed request issuing and result gates.
+ * Shared helpers for the benches (paper, svc_kv, ablation_kernel)
+ * and the repo benchmark: flat JSON reports, result gates, banners
+ * and windowed request issuing.
  *
- * Every bench binary regenerates one table or figure of the paper.
- * It runs its simulation(s), registers the headline metrics as
- * google-benchmark counters, and prints the rows/series the paper
- * reports in plain text so outputs can be compared side by side.
+ * A bench names its results, gates them with Checks (printing one
+ * "ok"/"FAIL" line each and exiting 1 if any failed) and writes
+ * them to a BENCH_*.json file.
  */
 
 #ifndef BLUEDBM_BENCH_BENCH_UTIL_HH

@@ -49,7 +49,9 @@ main()
     std::string text = "value stored in the global flash address "
                        "space";
     PageBuffer value(text.begin(), text.end());
+    bool pass = true; // every check below held
     service.put(client, /*key=*/42, value, [&](kv::KvStatus st) {
+        pass = pass && st == kv::KvStatus::Ok;
         std::printf("put key 42: %s\n",
                     st == kv::KvStatus::Ok ? "ok" : "FAILED");
     });
@@ -60,8 +62,9 @@ main()
                 owners[1]);
 
     service.get(client, 42, [&](PageBuffer v, kv::KvStatus st) {
-        std::printf("get key 42: %s ('%s')\n",
-                    st == kv::KvStatus::Ok ? "ok" : "miss",
+        bool hit = st == kv::KvStatus::Ok && v == value;
+        pass = pass && hit;
+        std::printf("get key 42: %s ('%s')\n", hit ? "ok" : "FAILED",
                     std::string(v.begin(), v.end()).c_str());
     });
     sim.run();
@@ -71,6 +74,7 @@ main()
     service.multiGet(client, {42, 7, 999},
                      [&](std::vector<PageBuffer> values,
                          std::vector<kv::KvStatus> sts) {
+        pass = pass && sts[2] == kv::KvStatus::NotFound;
         std::printf("multi-get [42, 7, 999]: %zu B, %zu B, %s\n",
                     values[0].size(), values[1].size(),
                     sts[2] == kv::KvStatus::NotFound ? "miss"
@@ -79,6 +83,7 @@ main()
     sim.run();
 
     service.del(client, 42, [&](kv::KvStatus st) {
+        pass = pass && st == kv::KvStatus::Ok;
         std::printf("delete key 42: %s\n",
                     st == kv::KvStatus::Ok ? "ok" : "FAILED");
     });
@@ -136,5 +141,5 @@ main()
                 (unsigned long long)router.cacheStaleGets(),
                 (unsigned long long)validated,
                 (unsigned long long)coalesced);
-    return 0;
+    return pass ? 0 : 1;
 }

@@ -94,14 +94,16 @@ main()
     flash::PageBuffer block(params.node.geometry.pageSize, 0x42);
     node0.ftl().write(7, block, [](bool) {});
     sim.run();
+    bool round_trip = false;
     node0.ftl().read(7, [&](flash::PageBuffer data, bool rok) {
+        round_trip = rok && data == block;
         std::printf("FTL block 7 round-trip: %s\n",
-                    rok && data == block ? "ok" : "FAILED");
+                    round_trip ? "ok" : "FAILED");
     });
     sim.run();
 
     std::printf("simulated time: %.2f ms, events executed: %llu\n",
                 sim::ticksToUs(sim.now()) / 1000.0,
                 (unsigned long long)sim.eventsExecuted());
-    return 0;
+    return ok && got && round_trip ? 0 : 1;
 }

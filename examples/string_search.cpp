@@ -8,11 +8,13 @@
  * Run:  ./string_search [needle]
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "analytics/text.hh"
 #include "core/cluster.hh"
+#include "fs/log_fs.hh"
 #include "isp/string_search.hh"
 #include "sim/simulator.hh"
 #include "sim/logging.hh"
@@ -33,9 +35,14 @@ main(int argc, char **argv)
     auto &node = cluster.node(0);
 
     // --- 1. Create a corpus with known needle positions and store
-    //        it as files in the FS.
+    //        it as files in the FS. It fills the card up to the
+    //        block the FS holds back for its cleaner.
+    const auto &geo = params.node.geometry;
+    std::uint64_t usable =
+        (node.fs().freeBlocks() - fs::LogFs::cleanReserve) *
+        geo.pagesPerBlock * geo.pageSize;
     auto corpus = analytics::makeCorpus(
-        256 * 1024, needle, /*occurrences=*/9, /*seed=*/3);
+        usable, needle, /*occurrences=*/9, /*seed=*/3);
     if (!node.fs().create("corpus.txt"))
         sim::fatal("create(corpus.txt) failed");
     bool ok = false;
@@ -46,6 +53,10 @@ main(int argc, char **argv)
                 "(ok=%d)\n",
                 (unsigned long long)node.fs().size("corpus.txt"),
                 corpus.needlePositions.size(), int(ok));
+    if (!ok) {
+        std::fprintf(stderr, "append to corpus.txt failed\n");
+        return 1;
+    }
 
     // --- 2. Publish the file to the flash server ATU and search
     //        with the in-store Morris-Pratt engines.
@@ -58,7 +69,7 @@ main(int argc, char **argv)
     isp::SearchResult result;
     sim::Tick start = sim.now();
     engine.search(1, node.fs().size("corpus.txt"),
-                  params.node.geometry.pageSize, needle,
+                  geo.pageSize, needle,
                   [&](isp::SearchResult r) { result = std::move(r); });
     sim.run();
     double us = sim::ticksToUs(sim.now() - start);

@@ -5,12 +5,13 @@
 # short-circuit the expensive builds), then build the release and
 # sanitizer presets and run the full test suite on both (any
 # ASan/UBSan finding fails the run; the svc_kv_smoke test runs every
-# KV scenario row at smoke size). Then the repo benchmark's
-# self-test, and the two perf binaries, which regenerate the tracked
-# BENCH_kernel.json / BENCH_kv.json and gate them through their exit
-# status; BENCH_kv.json, all simulated, must also come back
-# byte-identical. Last, the paper figures must regenerate
-# bit-identical.
+# KV scenario row at smoke size, the paper test every paper claim,
+# and each example its own verification line). Then the repo
+# benchmark's self-test, and the three binaries that regenerate the
+# tracked BENCH_kernel.json / BENCH_kv.json / BENCH_paper.json and
+# gate them through their exit status; BENCH_kv.json and
+# BENCH_paper.json, all simulated, must also come back
+# byte-identical.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -65,7 +66,7 @@ python3 repobench/selftest.py
 echo "=== perf binaries: regenerate + gate BENCH_kernel / BENCH_kv ==="
 ./build/ablation_kernel
 # Every BENCH_kv.json field is simulated (seeded), so the tracked
-# file must regenerate byte for byte, as the figures do below.
+# file must regenerate byte for byte, as BENCH_paper.json does below.
 cp BENCH_kv.json build/BENCH_kv.json.tracked
 ./build/svc_kv
 cmp BENCH_kv.json build/BENCH_kv.json.tracked || {
@@ -73,19 +74,16 @@ cmp BENCH_kv.json build/BENCH_kv.json.tracked || {
     exit 1
 }
 
-echo "=== figure JSON bit-identity (wear defaults off) ==="
-# The wear model defaults OFF (NandArray::setWearModel unarmed):
-# the tracked figure reproductions must regenerate bit-identical.
-for fig in fig12_latency:BENCH_fig12.json fig13_bandwidth:BENCH_fig13.json; do
-    bin="build/${fig%%:*}"
-    json="${fig##*:}"
-    cp "$json" "build/${json}.tracked"
-    "./$bin" > /dev/null
-    cmp "$json" "build/${json}.tracked" || {
-        echo "figure gate: $json changed with wear defaults off" >&2
-        exit 1
-    }
-done
-echo "figure gate ok: fig12/fig13 JSONs bit-identical"
+echo "=== paper claims: regenerate + gate BENCH_paper.json ==="
+# The exit status gates every claim against the paper. The wear
+# model defaults OFF (NandArray::setWearModel unarmed), and every
+# value is simulated or restated, so the tracked file must also
+# regenerate byte for byte.
+cp BENCH_paper.json build/BENCH_paper.json.tracked
+./build/paper
+cmp BENCH_paper.json build/BENCH_paper.json.tracked || {
+    echo "paper gate: BENCH_paper.json changed" >&2
+    exit 1
+}
 
 echo "=== CI OK ==="

@@ -274,12 +274,13 @@ class LogFs
         return freeBlocks_.size() <= cleanReserve;
     }
 
-  private:
     /** Free blocks the allocator holds back for cleaner relocation:
      * an ordinary append may never open the last free block, or a
      * burst of admitted appends could strand the cleaner with no
      * destination and deadlock reclamation. */
     static constexpr std::size_t cleanReserve = 1;
+
+  private:
     static constexpr std::uint64_t invalidPage = ~std::uint64_t(0);
     /** A fresh page whose program failed: a poisoned hole. */
     static constexpr std::uint64_t failedPage = ~std::uint64_t(0) - 1;

@@ -5,22 +5,66 @@
 namespace bluedbm {
 namespace isp {
 
+namespace {
+
+struct QueryState
+{
+    core::Node *node = nullptr;
+    unsigned window = 0;
+    flash::PageBuffer query;
+    std::vector<core::GlobalAddress> candidates;
+    std::size_t nextIssue = 0;
+    std::size_t completed = 0;
+    NnResult result;
+    NearestNeighborEngine::Done done;
+};
+
+/**
+ * Keep up to `window` candidate reads in flight; distance
+ * computation is pipelined in hardware (it happens at line rate as
+ * bursts arrive, so it costs no extra simulated time). Only the
+ * in-flight read callbacks own @p st, so it is freed with the last
+ * of them.
+ */
+void
+pump(const std::shared_ptr<QueryState> &st)
+{
+    while (st->nextIssue < st->candidates.size() &&
+           st->nextIssue - st->completed < st->window) {
+        std::size_t idx = st->nextIssue++;
+        const core::GlobalAddress &ga = st->candidates[idx];
+        st->node->ispReadRemote(
+            ga.node, ga.card, ga.addr,
+            [st, idx](flash::PageBuffer page) {
+            std::uint64_t d = analytics::hammingDistance(
+                st->query.data(), page.data(),
+                std::min(st->query.size(), page.size()));
+            ++st->result.comparisons;
+            if (d < st->result.bestDistance) {
+                st->result.bestDistance = d;
+                st->result.bestIndex = idx;
+            }
+            ++st->completed;
+            if (st->completed == st->candidates.size()) {
+                st->done(std::move(st->result));
+                return;
+            }
+            pump(st);
+        });
+    }
+}
+
+} // namespace
+
 void
 NearestNeighborEngine::query(flash::PageBuffer query,
                              std::vector<core::GlobalAddress>
                                  candidates,
                              Done done)
 {
-    struct State
-    {
-        flash::PageBuffer query;
-        std::vector<core::GlobalAddress> candidates;
-        std::size_t nextIssue = 0;
-        std::size_t completed = 0;
-        NnResult result;
-        Done done;
-    };
-    auto st = std::make_shared<State>();
+    auto st = std::make_shared<QueryState>();
+    st->node = &node_;
+    st->window = window_;
     st->query = std::move(query);
     st->candidates = std::move(candidates);
     st->done = std::move(done);
@@ -31,37 +75,7 @@ NearestNeighborEngine::query(flash::PageBuffer query,
         });
         return;
     }
-
-    // Keep up to `window_` candidate reads in flight; distance
-    // computation is pipelined in hardware (it happens at line rate
-    // as bursts arrive, so it costs no extra simulated time).
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [this, st, pump]() {
-        while (st->nextIssue < st->candidates.size() &&
-               st->nextIssue - st->completed < window_) {
-            std::size_t idx = st->nextIssue++;
-            const core::GlobalAddress &ga = st->candidates[idx];
-            node_.ispReadRemote(
-                ga.node, ga.card, ga.addr,
-                [this, st, pump, idx](flash::PageBuffer page) {
-                std::uint64_t d = analytics::hammingDistance(
-                    st->query.data(), page.data(),
-                    std::min(st->query.size(), page.size()));
-                ++st->result.comparisons;
-                if (d < st->result.bestDistance) {
-                    st->result.bestDistance = d;
-                    st->result.bestIndex = idx;
-                }
-                ++st->completed;
-                if (st->completed == st->candidates.size()) {
-                    st->done(std::move(st->result));
-                    return;
-                }
-                (*pump)();
-            });
-        }
-    };
-    (*pump)();
+    pump(st);
 }
 
 } // namespace isp

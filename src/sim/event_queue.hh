@@ -45,7 +45,7 @@
  * records by tick range and sorts each partition with that same
  * comparator before consumption, so the execution order is exactly
  * the order the heap produced: same-seed runs are bit-reproducible
- * across the refactor (gated by fig12/fig13 bit-identity and the
+ * across the refactor (gated by BENCH_paper.json bit-identity and the
  * heap-vs-ladder oracle in tests/test_event_queue.cc).
  *
  * An `EventId` encodes {slot, generation}: the slot index in the high

@@ -407,8 +407,8 @@ TEST(EventQueueLadder, GenerationExhaustionByFiringRetiresSlot)
  * model (a multiset ordered by (tick, 64-bit schedule sequence) --
  * the order the replaced 4-ary heap produced) through the same
  * seeded schedule/cancel/pop churn, and require identical execution
- * order throughout. This is the determinism contract the fig12/13
- * bit-identity gates rest on.
+ * order throughout. This is the determinism contract the
+ * BENCH_paper.json bit-identity gate rests on.
  */
 TEST(EventQueueLadder, MatchesHeapOrderOracleUnderSeededChurn)
 {

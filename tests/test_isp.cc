@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the in-store processing engines: Morris-Pratt matching,
- * string search over the flash server, and the FIFO accelerator
- * scheduler.
+ * string search over the flash server, nearest-neighbor search over
+ * the global address space, and the FIFO accelerator scheduler.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +11,12 @@
 #include <vector>
 
 #include "analytics/text.hh"
+#include "core/cluster.hh"
 #include "flash/flash_card.hh"
 #include "flash/flash_server.hh"
 #include "fs/log_fs.hh"
 #include "isp/morris_pratt.hh"
+#include "isp/nearest_neighbor.hh"
 #include "isp/scheduler.hh"
 #include "isp/string_search.hh"
 #include "sim/simulator.hh"
@@ -243,6 +245,60 @@ TEST(StringSearch, ScansAtFlashStreamBandwidth)
     double chip_ceiling = double(f.geo.chips()) * wire_page /
         sim::ticksToSec(t.readUs);
     EXPECT_GT(rate, chip_ceiling * 0.6);
+}
+
+TEST(NearestNeighbor, FindsClosestCandidateAcrossNodes)
+{
+    sim::Simulator sim;
+    core::ClusterParams params;
+    params.topology = net::Topology::line(2);
+    params.node.geometry = Geometry::tiny();
+    params.node.timing = Timing::fast();
+    core::Cluster cluster(sim, params);
+    const Geometry &geo = params.node.geometry;
+
+    // 40 random candidate pages spread over both nodes and cards;
+    // the query is candidate 23 with 5 bits flipped, so it is the
+    // unique nearest one.
+    sim::Rng rng(8);
+    std::vector<core::GlobalAddress> candidates;
+    flash::PageBuffer query;
+    for (std::uint64_t i = 0; i < 40; ++i) {
+        core::GlobalAddress ga;
+        ga.node = net::NodeId(i % 2);
+        ga.card = std::uint8_t((i / 2) % 2);
+        ga.addr = flash::Address::fromLinear(geo, i);
+        flash::PageBuffer page(geo.pageSize);
+        for (auto &b : page)
+            b = std::uint8_t(rng.below(256));
+        if (i == 23)
+            query = page;
+        ASSERT_EQ(cluster.node(ga.node).card(ga.card).nand().store()
+                      .program(ga.addr, std::move(page)),
+                  flash::Status::Ok);
+        candidates.push_back(ga);
+    }
+    for (unsigned bit : {3u, 100u, 777u, 1500u, 4000u})
+        query[bit / 8] ^= std::uint8_t(1u << (bit % 8));
+
+    // A window far below the candidate count makes the engine
+    // refill it from read completions many times over.
+    isp::NearestNeighborEngine engine(cluster.node(0), 4);
+    isp::NnResult result;
+    bool done = false;
+    engine.query(query, candidates, [&](isp::NnResult r) {
+        result = r;
+        done = true;
+    });
+    sim.run();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(result.comparisons, 40u);
+    EXPECT_EQ(result.bestIndex, 23u);
+    EXPECT_EQ(result.bestDistance, 5u);
+
+    engine.query(query, {}, [&](isp::NnResult r) { result = r; });
+    sim.run();
+    EXPECT_EQ(result.comparisons, 0u);
 }
 
 TEST(Scheduler, JobsRunFifoAcrossUnits)

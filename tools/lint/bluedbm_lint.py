@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """bluedbm-lint: project-specific static analysis for the BlueDBM tree.
 
-The repository's published numbers (bit-identical fig12/fig13
-reproductions, the serving-throughput trajectory, exact span-sum
-telescoping) rest on invariants that no general-purpose tool checks:
+The repository's published numbers (bit-identical paper
+reproductions in BENCH_paper.json, the serving-throughput trajectory,
+exact span-sum telescoping) rest on invariants that no general-purpose tool checks:
 
   * the simulation is deterministic -- one simulated clock, sim::Rng
     as the sole entropy source, no wall-clock or libc entropy anywhere
