@@ -35,8 +35,9 @@ struct EccResult
  *
  * Each 64-bit data word is protected by 7 Hamming parity bits plus one
  * overall parity bit. Encoding produces one 8-bit syndrome byte per
- * word; pages carry their check bytes out of band (the page store keeps
- * them alongside the data, as a real card keeps spare-area bytes).
+ * word; pages carry their check bytes out of band, as a real card
+ * keeps spare-area bytes. They are a pure function of the stored
+ * bytes, so the NAND array computes them at sense, not at program.
  */
 class Secded72
 {

@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "flash/ecc.hh"
+
 namespace bluedbm {
 namespace flash {
 
@@ -257,12 +259,8 @@ NandArray::read(const Address &addr, ReadDone done, Priority pri,
     if (!addr.validFor(geo))
         sim::panic("NAND read at invalid address %s",
                    addr.toString().c_str());
-    if (len == 0) {
-        if (offset != 0)
-            sim::panic("full-page NAND read with offset %u", offset);
-        offset = 0;
-        len = geo.pageSize;
-    }
+    if (len == 0)
+        len = geo.pageSize; // the whole page, so offset must be 0
     if (std::uint64_t(offset) + len > geo.pageSize)
         sim::panic("NAND read range [%u, %u) beyond page size %u",
                    offset, offset + len, geo.pageSize);
@@ -273,10 +271,9 @@ NandArray::read(const Address &addr, ReadDone done, Priority pri,
 
     // Random data-out: only the SECDED words covering the range
     // cross the bus, each with its check byte.
-    std::uint32_t word0 = offset / 8;
+    std::uint32_t slice0 = offset / 8 * 8;
     auto word1 = std::uint32_t(
         (std::uint64_t(offset) + len + 7) / 8);
-    std::uint32_t slice0 = word0 * 8;
     std::uint32_t slice_bytes =
         std::min(word1 * 8, geo.pageSize) - slice0;
     std::uint64_t wire_bytes = std::uint64_t(slice_bytes) +
@@ -310,22 +307,18 @@ NandArray::read(const Address &addr, ReadDone done, Priority pri,
     // The result and check bytes move through the stage captures --
     // sense -> bus transfer -> controller overhead each run exactly
     // once in sequence, so ownership hands off without shared state.
-    auto deliver = [this, a, bus, wire_bytes, offset, len, word0,
-                    slice0, slice_bytes,
-                    done = std::move(done)]() mutable {
-        ReadResult res;
-        std::vector<std::uint8_t> check;
-        res.data = store_.read(a, &check);
+    auto deliver = [this, a, bus, wire_bytes, offset, len, slice0,
+                    slice_bytes, done = std::move(done)]() mutable {
+        ReadResult res{store_.read(a, slice0, slice_bytes)};
         // Wear is sampled at the sense, like the cell contents: the
         // raw BER of this read reflects the block's erase count NOW.
         double ber = effectiveBitErrorRate(a);
-        if (slice_bytes != res.data.size()) {
-            res.data.erase(res.data.begin(),
-                           res.data.begin() + slice0);
-            res.data.resize(slice_bytes);
-            check.erase(check.begin(), check.begin() + word0);
-            check.resize(Secded72::checkBytes(slice_bytes));
-        }
+        // The slice's check bytes, as written at program: stored
+        // bytes never change before erase (PageStore). Only needed
+        // when bits can flip; wire_bytes charges them regardless.
+        std::vector<std::uint8_t> check;
+        if (ber > 0.0 || alwaysDecode_)
+            check = Secded72::encode(res.data);
         busTransfer(bus, wire_bytes,
                     [this, res = std::move(res),
                      check = std::move(check), offset, len, slice0,
@@ -350,14 +343,10 @@ NandArray::read(const Address &addr, ReadDone done, Priority pri,
                     }
                     res.correctedBits = ecc.correctedBits;
                 }
-                if (res.data.size() != len) {
-                    // Trim the word-aligned slice to the bytes the
-                    // caller asked for.
-                    std::uint32_t lead = offset - slice0;
-                    res.data.erase(res.data.begin(),
-                                   res.data.begin() + lead);
-                    res.data.resize(len);
-                }
+                // Trim the word-aligned slice to the caller's range.
+                res.data.erase(res.data.begin(),
+                               res.data.begin() + (offset - slice0));
+                res.data.resize(len);
                 done(std::move(res));
             });
         });

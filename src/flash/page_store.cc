@@ -68,31 +68,33 @@ PageStore::program(const Address &addr, PageBuffer data)
     blk.programmed[addr.page] = true;
     blk.nextPage = addr.page + 1;
 
-    StoredPage sp;
-    sp.check = Secded72::encode(data);
-    sp.data = std::move(data);
-    pages_[pageKey(addr)] = std::move(sp);
+    pages_[pageKey(addr)] = std::move(data);
     ++programs_;
     return Status::Ok;
 }
 
 PageBuffer
-PageStore::read(const Address &addr,
-                std::vector<std::uint8_t> *check) const
+PageStore::read(const Address &addr, std::uint32_t offset,
+                std::uint32_t len) const
 {
     if (!addr.validFor(geo_))
         sim::panic("read at invalid address %s",
                    addr.toString().c_str());
+    if (len == 0)
+        len = geo_.pageSize; // the whole page, so offset must be 0
+    if (std::uint64_t(offset) + len > geo_.pageSize)
+        sim::panic("read range [%u, %u) beyond page size %u", offset,
+                   offset + len, geo_.pageSize);
     auto it = pages_.find(pageKey(addr));
     if (it == pages_.end()) {
-        PageBuffer data = synthesize(pageKey(addr));
-        if (check)
-            *check = Secded72::encode(data);
-        return data;
+        PageBuffer page = synthesize(pageKey(addr));
+        if (len == page.size())
+            return page;
+        return PageBuffer(page.begin() + offset,
+                          page.begin() + offset + len);
     }
-    if (check)
-        *check = it->second.check;
-    return it->second.data;
+    auto first = it->second.begin() + offset;
+    return PageBuffer(first, first + len);
 }
 
 Status

@@ -7,9 +7,10 @@
  * content derived from the address, so multi-terabyte workloads can be
  * simulated without allocating the dataset (the content is stable, as
  * if it had been written by a prior loading phase). Pages that are
- * programmed store their real bytes plus ECC check bytes, and the NAND
- * rules are enforced: a page must be erased before it is programmed
- * again, and erases wear blocks out.
+ * programmed store their real bytes and no ECC check bytes: those are
+ * a pure function of the stored bytes, which the NAND array computes
+ * at sense. The NAND rules are enforced: a page must be erased before
+ * it is programmed again, and erases wear blocks out.
  */
 
 #ifndef BLUEDBM_FLASH_PAGE_STORE_HH
@@ -20,7 +21,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "flash/ecc.hh"
 #include "flash/geometry.hh"
 #include "flash/types.hh"
 
@@ -55,12 +55,13 @@ class PageStore
      * Read a page's stored bytes (or synthetic content when never
      * programmed).
      *
-     * @param addr  source page
-     * @param check out: ECC check bytes stored with the page
-     * @return page contents
+     * @param addr   source page
+     * @param offset first byte of the range
+     * @param len    range length; 0 means the whole page (offset 0)
+     * @return the range's bytes
      */
-    PageBuffer read(const Address &addr,
-                    std::vector<std::uint8_t> *check = nullptr) const;
+    PageBuffer read(const Address &addr, std::uint32_t offset = 0,
+                    std::uint32_t len = 0) const;
 
     /**
      * Erase a block: all pages return to the erased state.
@@ -138,12 +139,6 @@ class PageStore
         std::vector<bool> programmed;
     };
 
-    struct StoredPage
-    {
-        PageBuffer data;
-        std::vector<std::uint8_t> check;
-    };
-
     std::uint64_t blockKey(const Address &addr) const;
     std::uint64_t pageKey(const Address &addr) const;
 
@@ -154,7 +149,11 @@ class PageStore
     std::uint64_t seed_;
     std::uint32_t eraseLimit_ = 0;
     bool requireSequential_ = false;
-    std::unordered_map<std::uint64_t, StoredPage> pages_;
+    /** Programmed pages. Invariant: bytes never change between
+     * program and erase, so check bytes computed at sense equal those
+     * written at program. A future in-place fault (a retention model)
+     * must store check bytes at program for the pages it touches. */
+    std::unordered_map<std::uint64_t, PageBuffer> pages_;
     std::unordered_map<std::uint64_t, BlockState> blocks_;
     std::unordered_set<std::uint64_t> badBlocks_;
     std::uint64_t programs_ = 0;

@@ -12,6 +12,7 @@
 
 #include "analytics/text.hh"
 #include "core/cluster.hh"
+#include "flash/ecc.hh"
 #include "flash/flash_card.hh"
 #include "flash/flash_server.hh"
 #include "fs/log_fs.hh"

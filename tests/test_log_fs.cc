@@ -483,8 +483,9 @@ TEST(LogFs, CrossFileAppendsBatchOntoSharedProgramWindows)
     LogFs fs{sim, server, 0, geo}; // default FsParams: batching on
 
     const unsigned files = 4;
+    const std::string names[files] = {"f0", "f1", "f2", "f3"};
     for (unsigned i = 0; i < files; ++i)
-        ASSERT_TRUE(fs.create("f" + std::to_string(i)));
+        ASSERT_TRUE(fs.create(names[i]));
 
     // Burst: every file appends at once, repeatedly.
     unsigned done = 0, rounds = 3;
@@ -492,7 +493,7 @@ TEST(LogFs, CrossFileAppendsBatchOntoSharedProgramWindows)
         for (unsigned i = 0; i < files; ++i) {
             std::vector<std::uint8_t> data(64,
                                            std::uint8_t(r * 16 + i));
-            fs.append("f" + std::to_string(i), std::move(data),
+            fs.append(names[i], std::move(data),
                       [&](bool ok) {
                 EXPECT_TRUE(ok);
                 ++done;
@@ -510,7 +511,7 @@ TEST(LogFs, CrossFileAppendsBatchOntoSharedProgramWindows)
     // Correctness: every file reads back exactly what it appended.
     for (unsigned i = 0; i < files; ++i) {
         std::vector<std::uint8_t> out;
-        fs.read("f" + std::to_string(i), 0, 64 * rounds,
+        fs.read(names[i], 0, 64 * rounds,
                 [&](std::vector<std::uint8_t> data, bool ok) {
             EXPECT_TRUE(ok);
             out = std::move(data);

@@ -89,15 +89,33 @@ TEST(PageStore, SyntheticContentIsDeterministic)
     EXPECT_NE(s1.read(a), s1.read(b)); // different address
 }
 
-TEST(PageStore, SyntheticPagesCarryValidEcc)
+TEST(PageStore, RangedReadIsSliceOfFullPage)
 {
     Geometry g = Geometry::tiny();
-    PageStore store(g);
-    Address a{0, 1, 0, 2};
-    std::vector<std::uint8_t> check;
-    PageBuffer data = store.read(a, &check);
-    auto expected = flash::Secded72::encode(data);
-    EXPECT_EQ(check, expected);
+    g.pageSize = 8192;
+    PageStore store(g, 5);
+    Address programmed{0, 1, 0, 0};
+    Address synthetic{0, 1, 0, 1};
+    ASSERT_EQ(store.program(programmed, pattern(g, 11)), Status::Ok);
+    struct Range
+    {
+        std::uint32_t off;
+        std::uint32_t len;
+    };
+    for (const Address &a : {programmed, synthetic}) {
+        PageBuffer page = store.read(a);
+        ASSERT_EQ(page.size(), g.pageSize);
+        // Length 0 is the whole page.
+        for (Range r : {Range{0, 0}, Range{13, 100}, Range{8184, 8},
+                        Range{8191, 1}}) {
+            std::uint32_t len = r.len == 0 ? g.pageSize : r.len;
+            EXPECT_EQ(store.read(a, r.off, r.len),
+                      PageBuffer(page.begin() + r.off,
+                                 page.begin() + r.off + len))
+                << a.toString() << " @" << r.off << "+" << r.len;
+        }
+    }
+    EXPECT_EQ(store.read(programmed), pattern(g, 11));
 }
 
 TEST(PageStore, EraseCountsAccumulate)
