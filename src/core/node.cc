@@ -58,7 +58,7 @@ Node::Node(sim::Simulator &sim, net::StorageNetwork &net,
     fs::FsParams fsp;
     fsp.spillInterface = int(fsSpillIfc);
     fs_ = std::make_unique<fs::LogFs>(sim_, *hostServers_[0], fsIfc,
-                                      params_.geometry, fsp);
+                                      cards_[0]->nand().store(), fsp);
     ftl_ = std::make_unique<ftl::Ftl>(
         sim_, *hostServers_[params_.cards - 1], ftlIfc,
         params_.geometry);

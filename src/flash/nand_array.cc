@@ -485,10 +485,11 @@ NandArray::write(const Address &addr, PageBuffer data,
     if (!addr.validFor(geo))
         sim::panic("NAND write at invalid address %s",
                    addr.toString().c_str());
-    if (data.size() != geo.pageSize)
-        sim::panic("NAND write size %zu != page size %u",
+    if (data.size() > geo.pageSize)
+        sim::panic("NAND write size %zu > page size %u",
                    data.size(), geo.pageSize);
 
+    // A short program still costs a whole page on the bus.
     std::uint64_t wire_bytes =
         geo.pageSize + Secded72::checkBytes(geo.pageSize);
     pagesWritten_.inc();

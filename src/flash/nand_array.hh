@@ -109,7 +109,9 @@ class NandArray
 
     /**
      * Start a page write with data in hand; @p done fires when the
-     * program completes.
+     * program completes. @p data holds at most a page; the page
+     * reads as zeroes past it (PageStore::program), and the bus
+     * still carries a whole page plus its check bytes.
      *
      * @p group is the program-coalescing batch id (Command::group).
      * Writes of the same non-zero group landing on one chip overlap

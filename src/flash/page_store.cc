@@ -49,7 +49,7 @@ PageStore::program(const Address &addr, PageBuffer data)
     if (!addr.validFor(geo_))
         sim::panic("program at invalid address %s",
                    addr.toString().c_str());
-    if (data.size() != geo_.pageSize)
+    if (data.size() > geo_.pageSize)
         sim::panic("program with %zu bytes, page size is %u",
                    data.size(), geo_.pageSize);
 
@@ -87,14 +87,30 @@ PageStore::read(const Address &addr, std::uint32_t offset,
                    offset + len, geo_.pageSize);
     auto it = pages_.find(pageKey(addr));
     if (it == pages_.end()) {
+        if (isProgrammed(addr))
+            sim::panic("read of released page %s",
+                       addr.toString().c_str());
         PageBuffer page = synthesize(pageKey(addr));
         if (len == page.size())
             return page;
         return PageBuffer(page.begin() + offset,
                           page.begin() + offset + len);
     }
-    auto first = it->second.begin() + offset;
-    return PageBuffer(first, first + len);
+    const PageBuffer &stored = it->second;
+    std::size_t end = std::min<std::size_t>(offset + len, stored.size());
+    PageBuffer out(stored.begin() + std::min<std::size_t>(offset, end),
+                   stored.begin() + end);
+    out.resize(len); // past the programmed bytes the page reads as zeroes
+    return out;
+}
+
+void
+PageStore::release(const Address &addr)
+{
+    if (!addr.validFor(geo_))
+        sim::panic("release at invalid address %s",
+                   addr.toString().c_str());
+    pages_.erase(pageKey(addr));
 }
 
 Status

@@ -7,10 +7,14 @@
  * content derived from the address, so multi-terabyte workloads can be
  * simulated without allocating the dataset (the content is stable, as
  * if it had been written by a prior loading phase). Pages that are
- * programmed store their real bytes and no ECC check bytes: those are
- * a pure function of the stored bytes, which the NAND array computes
- * at sense. The NAND rules are enforced: a page must be erased before
- * it is programmed again, and erases wear blocks out.
+ * programmed store the bytes the program carried -- up to a page;
+ * the rest of the page reads as zeroes -- and no ECC check bytes:
+ * those are a pure function of the page's bytes, which the NAND
+ * array computes at sense. A programmed page whose owner knows no
+ * read can reach it any more may be released: its bytes go, the page
+ * stays programmed, and a read of it is a use-after-free that panics.
+ * The NAND rules are enforced: a page must be erased before it is
+ * programmed again, and erases wear blocks out.
  */
 
 #ifndef BLUEDBM_FLASH_PAGE_STORE_HH
@@ -46,14 +50,16 @@ class PageStore
      * Program a page.
      *
      * @param addr target page
-     * @param data exactly geometry().pageSize bytes
+     * @param data at most geometry().pageSize bytes, kept as given;
+     *             the rest of the page reads as zeroes
      * @return Ok, or IllegalWrite if the page is not erased
      */
     [[nodiscard]] Status program(const Address &addr, PageBuffer data);
 
     /**
-     * Read a page's stored bytes (or synthetic content when never
-     * programmed).
+     * Read a page's bytes: the programmed bytes followed by zeroes,
+     * or synthetic content when never programmed. Panics on a
+     * released page.
      *
      * @param addr   source page
      * @param offset first byte of the range
@@ -62,6 +68,15 @@ class PageStore
      */
     PageBuffer read(const Address &addr, std::uint32_t offset = 0,
                     std::uint32_t len = 0) const;
+
+    /**
+     * Drop a programmed page's bytes once no read can reach them.
+     * The page stays programmed until its block is erased (a second
+     * program is still IllegalWrite) and stops counting in
+     * storedPages(); reading it panics. No-op on a page that is not
+     * programmed.
+     */
+    void release(const Address &addr);
 
     /**
      * Erase a block: all pages return to the erased state.
@@ -123,7 +138,7 @@ class PageStore
      */
     void setRequireSequential(bool on) { requireSequential_ = on; }
 
-    /** Number of distinct pages currently holding real data. */
+    /** Programmed pages whose bytes are held (not released). */
     std::size_t storedPages() const { return pages_.size(); }
 
     /** Total program operations accepted. */
@@ -149,10 +164,11 @@ class PageStore
     std::uint64_t seed_;
     std::uint32_t eraseLimit_ = 0;
     bool requireSequential_ = false;
-    /** Programmed pages. Invariant: bytes never change between
-     * program and erase, so check bytes computed at sense equal those
-     * written at program. A future in-place fault (a retention model)
-     * must store check bytes at program for the pages it touches. */
+    /** Programmed, unreleased pages. Invariant: bytes never change
+     * between program and erase, so check bytes computed at sense
+     * equal those written at program. A future in-place fault (a
+     * retention model) must store check bytes at program for the
+     * pages it touches. */
     std::unordered_map<std::uint64_t, PageBuffer> pages_;
     std::unordered_map<std::uint64_t, BlockState> blocks_;
     std::unordered_set<std::uint64_t> badBlocks_;

@@ -27,9 +27,10 @@ cell(sim::Simulator &sim, unsigned inst, const char *name)
 } // namespace
 
 LogFs::LogFs(sim::Simulator &sim, flash::FlashServer &server,
-             unsigned ifc, const flash::Geometry &geo,
+             unsigned ifc, flash::PageStore &store,
              const FsParams &params)
-    : sim_(sim), server_(server), ifc_(ifc), params_(params), geo_(geo),
+    : sim_(sim), server_(server), ifc_(ifc), params_(params),
+      store_(store), geo_(store.geometry()),
       inst_(sim.metrics().nextInstance("fs")),
       pagesWritten_(cell(sim, inst_, "fs.pages_written")),
       pagesCleaned_(cell(sim, inst_, "fs.pages_cleaned")),
@@ -143,14 +144,9 @@ LogFs::remove(const std::string &name)
         return false;
     Inode &ino = inodes_.at(it->second);
     for (std::uint64_t phys : ino.pages) {
-        if (phys == invalidPage || phys == failedPage ||
-            phys == trimmedPage)
-            continue;
-        auto rit = reverse_.find(phys);
-        if (rit != reverse_.end()) {
-            reverse_.erase(rit);
-            --blocks_[phys / geo_.pagesPerBlock].livePages;
-        }
+        if (phys != invalidPage && phys != failedPage &&
+            phys != trimmedPage)
+            unmap(phys);
     }
     inodes_.erase(it->second);
     names_.erase(it);
@@ -170,11 +166,7 @@ LogFs::trim(const std::string &name, std::uint64_t fpage)
     if (phys == invalidPage || phys == failedPage ||
         phys == trimmedPage)
         return false;
-    auto rit = reverse_.find(phys);
-    if (rit != reverse_.end()) {
-        reverse_.erase(rit);
-        --blocks_[phys / geo_.pagesPerBlock].livePages;
-    }
+    unmap(phys);
     ino.pages[fpage] = trimmedPage;
     trimmedPages_.inc();
     return true;
@@ -222,13 +214,38 @@ LogFs::poisonPage(std::uint32_t file_id, std::uint64_t fpage,
     if (iit == inodes_.end() || fpage >= iit->second.pages.size() ||
         iit->second.pages[fpage] != phys)
         return; // remapped or removed since the verdict
-    auto rit = reverse_.find(phys);
-    if (rit != reverse_.end()) {
-        reverse_.erase(rit);
-        --blocks_[phys / geo_.pagesPerBlock].livePages;
-    }
+    unmap(phys);
     iit->second.pages[fpage] = failedPage;
     poisonedPages_.inc();
+}
+
+void
+LogFs::unmap(std::uint64_t phys)
+{
+    auto rit = reverse_.find(phys);
+    if (rit == reverse_.end())
+        return;
+    reverse_.erase(rit);
+    --blocks_[phys / geo_.pagesPerBlock].livePages;
+    release(phys);
+}
+
+void
+LogFs::release(std::uint64_t phys)
+{
+    if (!readsInFlight_.count(phys))
+        store_.release(Address::fromLinear(geo_, phys));
+}
+
+void
+LogFs::readDone(std::uint64_t phys)
+{
+    auto it = readsInFlight_.find(phys);
+    if (--it->second == 0) {
+        readsInFlight_.erase(it);
+        if (!reverse_.count(phys))
+            release(phys); // it died while the read was in flight
+    }
 }
 
 flash::Priority
@@ -286,8 +303,9 @@ LogFs::append(const std::string &name, std::vector<std::uint8_t> data,
     std::uint64_t first_page = ino.bytes / geo_.pageSize;
     ino.bytes += data.size();
 
-    // Cut into page-sized writes; the final partial page is padded
-    // with zeroes on flash and mirrored in the in-memory tail.
+    // Cut into page-sized writes; the final partial page programs
+    // only its bytes (the page reads as zeroes past them) and is
+    // mirrored in the in-memory tail.
     struct Ctx
     {
         unsigned outstanding = 0;
@@ -310,8 +328,9 @@ LogFs::append(const std::string &name, std::vector<std::uint8_t> data,
     while (off < staged.size()) {
         std::size_t take =
             std::min<std::size_t>(geo_.pageSize, staged.size() - off);
-        PageBuffer page(geo_.pageSize, 0);
-        std::memcpy(page.data(), staged.data() + off, take);
+        auto first = staged.begin() +
+            std::vector<std::uint8_t>::difference_type(off);
+        PageBuffer page(first, first + std::ptrdiff_t(take));
         if (take < geo_.pageSize) {
             ino.tail.assign(staged.begin() +
                                 std::vector<std::uint8_t>::
@@ -438,6 +457,7 @@ LogFs::writeFilePage(std::uint32_t file_id, std::uint64_t fpage,
             if (iit == inodes_.end()) {
                 // File deleted while the write was in flight; the
                 // page is dead on arrival.
+                release(linear);
                 done(true);
                 return;
             }
@@ -452,14 +472,8 @@ LogFs::writeFilePage(std::uint32_t file_id, std::uint64_t fpage,
             // also heals a poisoned hole left by a failed one.
             if (ino.pages[fpage] != invalidPage &&
                 ino.pages[fpage] != failedPage &&
-                ino.pages[fpage] != trimmedPage) {
-                std::uint64_t old = ino.pages[fpage];
-                auto rit = reverse_.find(old);
-                if (rit != reverse_.end()) {
-                    reverse_.erase(rit);
-                    --blocks_[old / geo_.pagesPerBlock].livePages;
-                }
-            }
+                ino.pages[fpage] != trimmedPage)
+                unmap(ino.pages[fpage]);
             ino.pages[fpage] = linear;
             reverse_[linear] = RevEntry{file_id, fpage};
             ++blocks_[linear / geo_.pagesPerBlock].livePages;
@@ -552,10 +566,12 @@ LogFs::read(const std::string &name, std::uint64_t offset,
         // words cross the flash bus -- a small-record read does not
         // pay a full page transfer.
         std::uint32_t file_id = it->second;
+        ++readsInFlight_[phys];
         server_.readPage(
             read_ifc, Address::fromLinear(geo_, phys),
             [this, ctx, take, out_off, file_id, fpage, phys,
              maybe_finish](PageBuffer range, Status st) {
+            readDone(phys);
             if (st == Status::Uncorrectable) {
                 // The flash server's retry ladder already re-sensed
                 // and gave up: this copy is gone. Unmap it so the
@@ -749,11 +765,13 @@ LogFs::relocate(std::vector<std::uint64_t> pages, std::size_t next,
     // (bounded foreground assist) so the reserve recovers before
     // the allocator stalls.
     flash::Priority pri = cleanPriority();
+    ++readsInFlight_[phys];
     server_.readPage(
         ifc_, Address::fromLinear(geo_, phys),
         [this, pages = std::move(pages), next, phys, pri,
          then = std::move(then)](PageBuffer data,
                                  Status rst) mutable {
+        readDone(phys);
         if (rst == Status::Uncorrectable) {
             // The source copy is gone (retry ladder exhausted):
             // relocating garbage would silently corrupt the file.
@@ -785,6 +803,7 @@ LogFs::relocate(std::vector<std::uint64_t> pages, std::size_t next,
                     retireBlock(new_linear / geo_.pagesPerBlock);
                 }
                 if (st == Status::Ok) {
+                    bool moved = false;
                     auto rit = reverse_.find(phys);
                     if (rit != reverse_.end()) {
                         RevEntry entry = rit->second;
@@ -794,17 +813,20 @@ LogFs::relocate(std::vector<std::uint64_t> pages, std::size_t next,
                                 iit->second.pages.size() &&
                             iit->second.pages[entry.filePage] ==
                                 phys) {
-                            reverse_.erase(rit);
-                            --blocks_[phys / geo_.pagesPerBlock]
-                                  .livePages;
+                            unmap(phys);
                             iit->second.pages[entry.filePage] =
                                 new_linear;
                             reverse_[new_linear] = entry;
                             ++blocks_[new_linear /
                                       geo_.pagesPerBlock].livePages;
                             pagesCleaned_.inc();
+                            moved = true;
                         }
                     }
+                    // The source died during the move: the copy is
+                    // dead on arrival.
+                    if (!moved)
+                        release(new_linear);
                 }
                 relocate(std::move(pages), next + 1,
                          std::move(then));

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "flash/flash_server.hh"
+#include "flash/page_store.hh"
 #include "sim/simulator.hh"
 
 namespace bluedbm {
@@ -114,11 +115,12 @@ class LogFs
      * @param sim    simulation kernel
      * @param server in-order flash interface
      * @param ifc    FlashServer interface reserved for FS traffic
-     * @param geo    geometry of the card behind @p server
+     * @param store  backing store of the card behind @p server: its
+     *               geometry, and where dead pages are released
      * @param params tuning knobs
      */
     LogFs(sim::Simulator &sim, flash::FlashServer &server,
-          unsigned ifc, const flash::Geometry &geo,
+          unsigned ifc, flash::PageStore &store,
           const FsParams &params = FsParams{});
 
     /** Page size in bytes. */
@@ -215,7 +217,10 @@ class LogFs
     /**
      * Publish @p name's physical locations to the flash server's
      * address translation unit under @p handle, so in-store
-     * processors can reference the file by handle.
+     * processors can reference the file by handle. The handle is a
+     * snapshot of live pages: a page that later dies (rewritten,
+     * trimmed, removed or poisoned) is released, and reading it
+     * through the handle panics.
      */
     void publishHandle(const std::string &name, std::uint32_t handle);
 
@@ -371,6 +376,16 @@ class LogFs
     void poisonPage(std::uint32_t file_id, std::uint64_t fpage,
                     std::uint64_t phys);
 
+    /** Physical page @p phys stopped backing its file page: drop
+     * its reverse entry and live count, and release it. No-op if it
+     * was not mapped. */
+    void unmap(std::uint64_t phys);
+    /** Release @p phys's bytes in the page store now, or when its
+     * last read in flight completes (readDone()). */
+    void release(std::uint64_t phys);
+    /** A read of @p phys completed. */
+    void readDone(std::uint64_t phys);
+
     /** Traffic class for cleaner page moves: Background normally,
      * the serving class when free blocks are under the red-line
      * (bounded foreground assist). */
@@ -400,6 +415,7 @@ class LogFs
     flash::FlashServer &server_;
     unsigned ifc_;
     FsParams params_;
+    flash::PageStore &store_;
     flash::Geometry geo_;
 
     std::unordered_map<std::string, std::uint32_t> names_;
@@ -407,6 +423,10 @@ class LogFs
     std::uint32_t nextFileId_ = 1;
 
     std::unordered_map<std::uint64_t, RevEntry> reverse_;
+    /** Reads in flight per physical page, serving and cleaner: a
+     * page that dies under one keeps its bytes until the last one
+     * completes. */
+    std::unordered_map<std::uint64_t, std::uint32_t> readsInFlight_;
     /** Active write slots, keyed by slotKey(file, page). */
     std::unordered_map<std::uint64_t, WriteSlot> writeSlots_;
     std::vector<BlockInfo> blocks_;

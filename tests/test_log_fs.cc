@@ -33,7 +33,7 @@ struct Fixture
     FlashCard card{sim, geo, Timing::fast(), 64};
     flash::FlashSplitter::Port &port{card.splitter().addPort(64)};
     FlashServer server{sim, port, 2, 16};
-    LogFs fs{sim, server, 0, geo};
+    LogFs fs{sim, server, 0, card.nand().store()};
 
     std::vector<std::uint8_t>
     bytes(std::size_t n, std::uint8_t seed)
@@ -398,7 +398,7 @@ TEST(LogFs, ReadsSpreadToSpillInterfaceUnderLoad)
     fs::FsParams params;
     params.spillInterface = 1;
     params.readSpreadDepth = 1; // spread as soon as one is queued
-    LogFs lfs{sim, server, 0, geo, params};
+    LogFs lfs{sim, server, 0, card.nand().store(), params};
 
     ASSERT_TRUE(lfs.create("hot"));
     std::vector<std::uint8_t> payload(geo.pageSize * 4);
@@ -480,7 +480,7 @@ TEST(LogFs, CrossFileAppendsBatchOntoSharedProgramWindows)
     FlashCard card{sim, geo, Timing::fast(), 64};
     auto &port = card.splitter().addPort(64);
     FlashServer server{sim, port, 3, 16};
-    LogFs fs{sim, server, 0, geo}; // default FsParams: batching on
+    LogFs fs{sim, server, 0, card.nand().store()}; // batching on
 
     const unsigned files = 4;
     const std::string names[files] = {"f0", "f1", "f2", "f3"};
@@ -660,4 +660,90 @@ TEST(LogFs, ProgramFaultMidCleanParksVictimInsteadOfErasing)
         f.appendSync("live", f.bytes(64, std::uint8_t(0xf0 + i)));
     EXPECT_GT(f.fs.blocksErased(), 0u);
     EXPECT_EQ(f.readSync("live", 0, expect.size()), expect);
+}
+
+// ---------------------------------------------------------------- //
+// The page store holds only pages a read can still reach
+// ---------------------------------------------------------------- //
+
+TEST(LogFs, StoredPagesFollowMappedPages)
+{
+    // Small appends to three files leave a superseded tail page
+    // behind each time; a trim, a remove and the cleaner's
+    // relocations and erases kill more. Every dead page must be
+    // released, so the card holds exactly the pages still mapped.
+    Fixture f;
+    const std::string names[] = {"a", "b", "c"};
+    std::vector<std::uint8_t> expect[3];
+    for (const std::string &name : names)
+        ASSERT_TRUE(f.fs.create(name));
+    auto grow = [&](unsigned i, std::uint8_t seed) {
+        auto chunk = f.bytes(100, seed);
+        expect[i].insert(expect[i].end(), chunk.begin(), chunk.end());
+        f.appendSync(names[i], chunk);
+    };
+    for (unsigned r = 0; r < 20; ++r) {
+        for (unsigned i = 0; i < 3; ++i)
+            grow(i, std::uint8_t(r * 3 + i));
+    }
+    ASSERT_TRUE(f.fs.trim("a", 0));
+    ASSERT_TRUE(f.fs.remove("b"));
+    // Keep appending until the cleaner has moved a live page out
+    // of a victim, not only erased blocks that were already dead.
+    for (unsigned r = 0; f.fs.pagesCleaned() == 0; ++r) {
+        ASSERT_LT(r, 2000u) << "the cleaner never relocated";
+        grow(2, std::uint8_t(r));
+    }
+
+    auto file_pages = [&](const std::string &name) {
+        return (f.fs.size(name) + f.geo.pageSize - 1) /
+            f.geo.pageSize;
+    };
+    const std::uint64_t mapped =
+        file_pages("a") - 1 /* trimmed */ + file_pages("c");
+    EXPECT_EQ(f.card.nand().store().storedPages(), mapped);
+    EXPECT_GT(f.fs.blocksErased(), 0u);
+    const std::uint64_t page = f.geo.pageSize;
+    auto a_rest = f.readSync("a", page, expect[0].size() - page);
+    EXPECT_TRUE(std::equal(a_rest.begin(), a_rest.end(),
+                           expect[0].begin() + long(page)));
+    EXPECT_EQ(f.readSync("c", 0, expect[2].size()), expect[2]);
+}
+
+TEST(LogFs, PageSupersededUnderAReadKeepsItsBytesUntilTheRead)
+{
+    // A Background read queues FIFO behind an erase on its page's
+    // chip (Timing::fast(): erase 100 us). Meanwhile an append
+    // rewrites the tail page on the other bus (program 20 us) and
+    // supersedes the page being read. The read must still sense
+    // the old bytes; the dead page is released once it completes.
+    Fixture f;
+    ASSERT_TRUE(f.fs.create("f"));
+    const auto first = f.bytes(100, 1);
+    f.appendSync("f", first);
+    const flash::Address old_page = f.fs.physicalAddresses("f")[0];
+
+    flash::Address spare = old_page; // a free block on the same chip
+    spare.block += 1;
+    f.card.nand().erase(spare, [](Status st) {
+        EXPECT_EQ(st, Status::Ok);
+    });
+    std::vector<std::uint8_t> got;
+    bool read_ok = false;
+    f.fs.read("f", 0, first.size(),
+              [&](std::vector<std::uint8_t> data, bool ok) {
+        got = std::move(data);
+        read_ok = ok;
+    },
+              flash::Priority::Background);
+    bool append_ok = false;
+    f.fs.append("f", f.bytes(50, 2), [&](bool ok) { append_ok = ok; });
+    f.sim.run();
+
+    EXPECT_TRUE(append_ok);
+    EXPECT_TRUE(read_ok);
+    EXPECT_EQ(got, first);
+    EXPECT_NE(f.fs.physicalAddresses("f")[0], old_page);
+    EXPECT_TRUE(f.card.nand().store().isProgrammed(old_page));
+    EXPECT_EQ(f.card.nand().store().storedPages(), 1u);
 }

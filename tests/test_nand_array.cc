@@ -288,26 +288,37 @@ TEST(NandArray, CorrectedDataMatchesOriginal)
 
 TEST(NandArray, AlwaysDecodeVerifiesCleanPages)
 {
-    // A clean page decodes Ok, whole or sliced, programmed or never
-    // programmed. Each slice's check bytes must be those of exactly
-    // the words it covers: one word off, and a position-dependent
-    // page decodes as corrupt (a uniform page cannot tell words
-    // apart).
+    // A clean page decodes Ok, whole or sliced, programmed, short
+    // programmed or never programmed. Each slice's check bytes must
+    // be those of exactly the words it covers: one word off, and a
+    // position-dependent page decodes as corrupt (a uniform page
+    // cannot tell words apart).
     Fixture f;
     NandArray nand(f.sim, f.geo, f.timing);
     const Address programmed{0, 0, 0, 0};
     const Address synthetic{1, 1, 3, 5};
+    // 50 bytes end inside a word: the ranges fall inside them
+    // ((1, 7), (7, 2)), straddle their end ((13, 100)) and lie past
+    // it ((504, 8), (511, 1)).
+    const Address short_page{0, 1, 2, 0};
     PageBuffer data(f.geo.pageSize);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    PageBuffer head(data.begin(), data.begin() + 50);
     nand.write(programmed, data, [](Status) {});
+    nand.write(short_page, head, [](Status) {});
     f.sim.run();
     nand.setAlwaysDecode(true);
 
-    for (const Address &a : {programmed, synthetic}) {
+    for (const Address &a : {programmed, synthetic, short_page}) {
         PageBuffer page = nand.store().read(a);
         if (a == programmed) {
             ASSERT_EQ(page, data);
+        }
+        if (a == short_page) {
+            PageBuffer padded = head;
+            padded.resize(f.geo.pageSize, 0);
+            ASSERT_EQ(page, padded);
         }
         for (const Range &r : kRanges) {
             std::uint32_t len = r.len == 0 ? f.geo.pageSize : r.len;

@@ -96,18 +96,29 @@ TEST(PageStore, RangedReadIsSliceOfFullPage)
     PageStore store(g, 5);
     Address programmed{0, 1, 0, 0};
     Address synthetic{0, 1, 0, 1};
+    Address short_page{0, 1, 0, 2};
     ASSERT_EQ(store.program(programmed, pattern(g, 11)), Status::Ok);
+    // A short program keeps its 4000 bytes; the page reads as
+    // zeroes past them.
+    PageBuffer head = pattern(g, 23);
+    head.resize(4000);
+    ASSERT_EQ(store.program(short_page, head), Status::Ok);
+    PageBuffer padded = head;
+    padded.resize(g.pageSize, 0);
+    EXPECT_EQ(store.read(short_page), padded);
     struct Range
     {
         std::uint32_t off;
         std::uint32_t len;
     };
-    for (const Address &a : {programmed, synthetic}) {
+    for (const Address &a : {programmed, synthetic, short_page}) {
         PageBuffer page = store.read(a);
         ASSERT_EQ(page.size(), g.pageSize);
-        // Length 0 is the whole page.
-        for (Range r : {Range{0, 0}, Range{13, 100}, Range{8184, 8},
-                        Range{8191, 1}}) {
+        // Length 0 is the whole page. Against the short page the
+        // ranges fall inside its stored bytes, straddle their end
+        // (3990 + 20) and lie past it.
+        for (Range r : {Range{0, 0}, Range{13, 100}, Range{3990, 20},
+                        Range{8184, 8}, Range{8191, 1}}) {
             std::uint32_t len = r.len == 0 ? g.pageSize : r.len;
             EXPECT_EQ(store.read(a, r.off, r.len),
                       PageBuffer(page.begin() + r.off,
@@ -168,13 +179,44 @@ TEST(PageStore, StoredPagesTracksRealData)
 {
     Geometry g = Geometry::tiny();
     PageStore store(g);
+    const Address a{0, 0, 0, 0};
+    const Address b{0, 0, 0, 1};
     EXPECT_EQ(store.storedPages(), 0u);
-    store.read(Address{0, 0, 0, 0}); // synthetic read stores nothing
+    store.read(a); // synthetic read stores nothing
     EXPECT_EQ(store.storedPages(), 0u);
-    ASSERT_EQ(store.program(Address{0, 0, 0, 0}, pattern(g, 1)), Status::Ok);
+    ASSERT_EQ(store.program(a, pattern(g, 1)), Status::Ok);
     EXPECT_EQ(store.storedPages(), 1u);
-    ASSERT_EQ(store.eraseBlock(Address{0, 0, 0, 0}), Status::Ok);
+    ASSERT_EQ(store.program(b, pattern(g, 2)), Status::Ok);
+    EXPECT_EQ(store.storedPages(), 2u);
+
+    // Release drops the bytes but not the programmed state: the
+    // page still needs an erase before it can be programmed again.
+    store.release(a);
+    EXPECT_EQ(store.storedPages(), 1u);
+    EXPECT_TRUE(store.isProgrammed(a));
+    EXPECT_EQ(store.program(a, pattern(g, 3)), Status::IllegalWrite);
+    EXPECT_EQ(store.read(b), pattern(g, 2));
+
+    ASSERT_EQ(store.eraseBlock(a), Status::Ok);
     EXPECT_EQ(store.storedPages(), 0u);
+    store.release(a); // erased: no-op
+    EXPECT_FALSE(store.isProgrammed(a));
+    EXPECT_EQ(store.read(a), PageStore(g).read(a)); // synthetic again
+    ASSERT_EQ(store.program(a, pattern(g, 4)), Status::Ok);
+    EXPECT_EQ(store.storedPages(), 1u);
+    EXPECT_EQ(store.read(a), pattern(g, 4));
+}
+
+TEST(PageStoreDeath, ReadOfReleasedPagePanics)
+{
+    // No read can reach a released page; one that does is a
+    // use-after-free, not stale data.
+    Geometry g = Geometry::tiny();
+    PageStore store(g);
+    const Address a{1, 0, 2, 3};
+    ASSERT_EQ(store.program(a, pattern(g, 1)), Status::Ok);
+    store.release(a);
+    EXPECT_DEATH(store.read(a, 8, 16), "read of released page");
 }
 
 TEST(PageStore, EraseStatsCoverWholeCard)
