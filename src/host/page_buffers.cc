@@ -8,44 +8,6 @@
 namespace bluedbm {
 namespace host {
 
-BufferPool::BufferPool(unsigned count)
-    : count_(count)
-{
-    if (count == 0)
-        sim::fatal("BufferPool needs at least one buffer");
-    free_.reserve(count);
-    for (unsigned i = count; i-- > 0;)
-        free_.push_back(i);
-}
-
-void
-BufferPool::acquire(Acquired acquired)
-{
-    if (free_.empty()) {
-        waiters_.push_back(std::move(acquired));
-        return;
-    }
-    unsigned idx = free_.back();
-    free_.pop_back();
-    acquired(idx);
-}
-
-void
-BufferPool::release(unsigned index)
-{
-    if (index >= count_)
-        sim::panic("releasing buffer %u out of range", index);
-    if (!waiters_.empty()) {
-        Acquired next = std::move(waiters_.front());
-        waiters_.pop_front();
-        next(index);
-        return;
-    }
-    free_.push_back(index);
-    if (free_.size() > count_)
-        sim::panic("buffer %u double-released", index);
-}
-
 BurstDma::BurstDma(sim::Simulator &sim, PcieLink &pcie,
                    std::uint32_t page_bytes, std::uint32_t burst_bytes,
                    bool per_buffer_fifos)

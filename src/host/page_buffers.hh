@@ -12,8 +12,9 @@
  * accumulates independently until a burst is ready.
  *
  * BurstDma models this explicitly and can be switched to a single
- * head-of-line FIFO to quantify what the per-buffer FIFOs buy
- * (ablation bench).
+ * head-of-line FIFO to quantify what the per-buffer FIFOs buy (the
+ * sec3.3_dma_fifos row of the paper bench). Buffer indices are the
+ * caller's to hand out.
  */
 
 #ifndef BLUEDBM_HOST_PAGE_BUFFERS_HH
@@ -22,48 +23,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <vector>
 
 #include "host/pcie.hh"
 #include "sim/simulator.hh"
 
 namespace bluedbm {
 namespace host {
-
-/**
- * Pool of page buffers handed to software on request.
- */
-class BufferPool
-{
-  public:
-    /** Callback receiving an acquired buffer index. */
-    using Acquired = std::function<void(unsigned)>;
-
-    /**
-     * @param count number of buffers (128 in the paper)
-     */
-    explicit BufferPool(unsigned count);
-
-    /**
-     * Acquire a free buffer. If none is free, the request queues and
-     * @p acquired fires when a buffer is returned.
-     */
-    void acquire(Acquired acquired);
-
-    /** Return buffer @p index to the free pool. */
-    void release(unsigned index);
-
-    /** Free buffers right now. */
-    unsigned available() const { return unsigned(free_.size()); }
-
-    /** Total buffers. */
-    unsigned count() const { return count_; }
-
-  private:
-    unsigned count_;
-    std::vector<unsigned> free_;
-    std::deque<Acquired> waiters_;
-};
 
 /**
  * DMA read path with per-buffer burst FIFOs.

@@ -99,7 +99,7 @@ StringSearchEngine::search(std::uint32_t handle,
             [this, shared, seg, expected_pages, pages_seen](
                 PageBuffer page, Status st) {
             if (st == Status::Uncorrectable)
-                sim::warn("uncorrectable page during search");
+                ++shared->result.uncorrectablePages;
             std::uint64_t take = std::min<std::uint64_t>(
                 page.size(), seg->extEnd - seg->pos);
             seg->matcher.feed(page.data(), take, seg->pos,

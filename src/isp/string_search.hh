@@ -32,6 +32,10 @@ struct SearchResult
 {
     std::vector<std::uint64_t> positions; //!< match byte offsets
     std::uint64_t bytesScanned = 0;
+    /** Pages that read Uncorrectable after the server's read
+     * retries. Their best-guess bytes were still matched, so
+     * positions may be wrong whenever this is nonzero. */
+    std::uint64_t uncorrectablePages = 0;
 };
 
 /**

@@ -86,6 +86,7 @@ TableScanEngine::scan(std::uint32_t handle,
         std::uint64_t nextRow = 0;
         std::uint64_t scanned = 0;
         std::uint64_t bytes = 0;
+        std::uint64_t uncorrectable = 0;
     };
     struct Shared
     {
@@ -125,9 +126,9 @@ TableScanEngine::scan(std::uint32_t handle,
             ifc, handle, first, count,
             [this, shared, ifc, per_page, row_count, count,
              pages_seen](PageBuffer page, Status st) {
-            if (st == Status::Uncorrectable)
-                sim::warn("uncorrectable page during scan");
             Seg &s = shared->segs[ifc];
+            if (st == Status::Uncorrectable)
+                ++s.uncorrectable;
             const RecordSchema &sc = shared->schema;
             for (std::uint32_t r = 0;
                  r < per_page && s.nextRow < row_count;
@@ -158,6 +159,7 @@ TableScanEngine::scan(std::uint32_t handle,
                                            sg.records.end());
                         out.rowsScanned += sg.scanned;
                         out.bytesScanned += sg.bytes;
+                        out.uncorrectablePages += sg.uncorrectable;
                     }
                     shared->done(std::move(out));
                 }

@@ -106,6 +106,10 @@ struct ScanResult
     std::vector<std::uint8_t> records;
     std::uint64_t rowsScanned = 0;
     std::uint64_t bytesScanned = 0;
+    /** Pages that read Uncorrectable after the server's read
+     * retries. Their best-guess bytes were still scanned, so rows
+     * and records may be wrong whenever this is nonzero. */
+    std::uint64_t uncorrectablePages = 0;
 };
 
 /**

@@ -1,8 +1,6 @@
 #include "net/topology.hh"
 
-#include <algorithm>
 #include <queue>
-#include <sstream>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -133,159 +131,6 @@ Topology::line(unsigned n, unsigned lanes)
     for (unsigned i = 0; i + 1 < n; ++i) {
         for (unsigned lane = 0; lane < lanes; ++lane)
             connect(t, ports, NodeId(i), NodeId(i + 1));
-    }
-    return t;
-}
-
-Topology
-Topology::mesh2d(unsigned w, unsigned h)
-{
-    if (w < 2 || h < 2)
-        sim::fatal("mesh2d needs at least 2x2 nodes");
-    Topology t;
-    t.nodes = w * h;
-    PortAllocator ports(t.nodes, t.portsPerNode);
-    auto id = [w](unsigned x, unsigned y) {
-        return NodeId(y * w + x);
-    };
-    for (unsigned y = 0; y < h; ++y) {
-        for (unsigned x = 0; x < w; ++x) {
-            if (x + 1 < w)
-                connect(t, ports, id(x, y), id(x + 1, y));
-            if (y + 1 < h)
-                connect(t, ports, id(x, y), id(x, y + 1));
-        }
-    }
-    return t;
-}
-
-Topology
-Topology::distributedStar(unsigned n, unsigned hubs)
-{
-    if (hubs == 0 || hubs >= n)
-        sim::fatal("distributedStar needs 1 <= hubs < nodes");
-    Topology t;
-    t.nodes = n;
-    unsigned leaves_per_hub = (n - hubs + hubs - 1) / hubs;
-    if (hubs - 1 + leaves_per_hub > t.portsPerNode)
-        sim::fatal("hubs would need %u ports but only %u available",
-                   hubs - 1 + leaves_per_hub, t.portsPerNode);
-    PortAllocator ports(n, t.portsPerNode);
-    // Star centers fully interconnected.
-    for (unsigned a = 0; a < hubs; ++a) {
-        for (unsigned b = a + 1; b < hubs; ++b)
-            connect(t, ports, NodeId(a), NodeId(b));
-    }
-    // Leaves distributed round-robin, one uplink each.
-    for (unsigned leaf = hubs; leaf < n; ++leaf)
-        connect(t, ports, NodeId(leaf), NodeId((leaf - hubs) % hubs));
-    return t;
-}
-
-Topology
-Topology::fatTree(unsigned n, unsigned fanout)
-{
-    if (n < 2 || fanout < 2)
-        sim::fatal("fatTree needs n >= 2 and fanout >= 2");
-    Topology t;
-    t.nodes = n;
-    PortAllocator ports(n, t.portsPerNode);
-    // Node 0 is the root; node i's parent is (i-1)/fanout. The lane
-    // count doubles each level toward the root, capped by the port
-    // budget on both ends.
-    for (unsigned i = 1; i < n; ++i) {
-        NodeId parent = NodeId((i - 1) / fanout);
-        // Depth of the child node.
-        unsigned depth = 0;
-        for (unsigned v = i; v != 0; v = (v - 1) / fanout)
-            ++depth;
-        unsigned lanes = 1;
-        if (depth <= 2)
-            lanes = 2; // fatter trunk near the root
-        for (unsigned lane = 0; lane < lanes; ++lane)
-            connect(t, ports, NodeId(i), parent);
-    }
-    return t;
-}
-
-Topology
-Topology::fromConfig(const std::string &text)
-{
-    Topology t;
-    bool have_nodes = false;
-    std::istringstream in(text);
-    std::string line;
-    unsigned lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream ls(line);
-        std::string directive;
-        if (!(ls >> directive))
-            continue; // blank or comment-only line
-        if (directive == "nodes") {
-            if (!(ls >> t.nodes) || t.nodes == 0)
-                sim::fatal("config line %u: bad node count", lineno);
-            have_nodes = true;
-        } else if (directive == "ports") {
-            if (!(ls >> t.portsPerNode) || t.portsPerNode == 0)
-                sim::fatal("config line %u: bad port count", lineno);
-        } else if (directive == "link") {
-            unsigned a, pa, b, pb;
-            if (!(ls >> a >> pa >> b >> pb))
-                sim::fatal("config line %u: link needs "
-                           "<nodeA> <portA> <nodeB> <portB>", lineno);
-            LinkSpec l;
-            l.nodeA = NodeId(a);
-            l.portA = std::uint8_t(pa);
-            l.nodeB = NodeId(b);
-            l.portB = std::uint8_t(pb);
-            t.links.push_back(l);
-        } else {
-            sim::fatal("config line %u: unknown directive '%s'",
-                       lineno, directive.c_str());
-        }
-        std::string extra;
-        if (ls >> extra)
-            sim::fatal("config line %u: trailing junk '%s'", lineno,
-                       extra.c_str());
-    }
-    if (!have_nodes)
-        sim::fatal("config is missing the 'nodes' directive");
-    std::string err = t.validate();
-    if (!err.empty())
-        sim::fatal("config describes an invalid topology: %s",
-                   err.c_str());
-    return t;
-}
-
-std::string
-Topology::toConfig() const
-{
-    std::string out;
-    out += sim::format("nodes %u\n", nodes);
-    out += sim::format("ports %u\n", portsPerNode);
-    for (const auto &l : links)
-        out += sim::format("link %u %u %u %u\n", l.nodeA, l.portA,
-                           l.nodeB, l.portB);
-    return out;
-}
-
-Topology
-Topology::fullyConnected(unsigned n)
-{
-    if (n < 2)
-        sim::fatal("fullyConnected needs at least 2 nodes");
-    Topology t;
-    t.nodes = n;
-    if (n - 1 > t.portsPerNode)
-        sim::fatal("fullyConnected(%u) exceeds the port budget", n);
-    PortAllocator ports(n, t.portsPerNode);
-    for (unsigned a = 0; a < n; ++a) {
-        for (unsigned b = a + 1; b < n; ++b)
-            connect(t, ports, NodeId(a), NodeId(b));
     }
     return t;
 }

@@ -5,9 +5,12 @@
  *
  * BlueDBM nodes have a fan-out of 8 serial ports; any topology wirable
  * within that budget is possible (paper figure 5). Physical cabling is
- * a list of point-to-point links; routing is computed separately and
- * can be re-generated without re-wiring, as in the paper where routing
- * tables come from a network configuration file.
+ * a list of point-to-point links. ring() and line() build the shapes
+ * the benches use; any other figure-5 shape (distributed star, mesh,
+ * fat tree) is wired by hand from LinkSpecs, and StorageNetwork
+ * validates every wiring it is given. Routes are not part of the
+ * topology: StorageNetwork computes them by BFS over the links (the
+ * paper loads them from a network configuration file instead).
  */
 
 #ifndef BLUEDBM_NET_TOPOLOGY_HH
@@ -51,9 +54,6 @@ struct Topology
      */
     std::string validate() const;
 
-    /** Whether the wiring is valid. */
-    bool valid() const { return validate().empty(); }
-
     /**
      * Ring of @p n nodes with @p lanes_each_dir parallel cables to
      * each neighbor (the paper discusses a 20-node ring with 4 lanes
@@ -61,44 +61,8 @@ struct Topology
      */
     static Topology ring(unsigned n, unsigned lanes_each_dir = 1);
 
-    /** Full 2-D mesh of @p w x @p h nodes (paper figure 5b). */
-    static Topology mesh2d(unsigned w, unsigned h);
-
-    /**
-     * Distributed star (paper figure 5a): @p hubs fully
-     * interconnected star centers, remaining nodes attached
-     * round-robin as leaves with one uplink each.
-     */
-    static Topology distributedStar(unsigned n, unsigned hubs);
-
-    /**
-     * Fat tree (paper figure 5c): complete @p fanout -ary tree over
-     * @p n nodes where the number of parallel cables doubles each
-     * level toward the root, within the port budget.
-     */
-    static Topology fatTree(unsigned n, unsigned fanout = 2);
-
-    /** All-pairs direct wiring (small clusters only). */
-    static Topology fullyConnected(unsigned n);
-
     /** Chain (line) of @p n nodes, handy for hop-count experiments. */
     static Topology line(unsigned n, unsigned lanes = 1);
-
-    /**
-     * Parse a network configuration (the paper populates routing
-     * from such a file rather than running discovery). Format, one
-     * directive per line, '#' comments:
-     *
-     *   nodes <count>
-     *   ports <count>          (optional, default 8)
-     *   link <nodeA> <portA> <nodeB> <portB>
-     *
-     * Fatal on malformed input or an invalid resulting topology.
-     */
-    static Topology fromConfig(const std::string &text);
-
-    /** Serialize into the fromConfig() format. */
-    std::string toConfig() const;
 };
 
 } // namespace net

@@ -7,22 +7,6 @@
 namespace bluedbm {
 namespace sim {
 
-namespace {
-LogLevel globalLevel = LogLevel::Warn;
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
 std::string
 vformat(const char *fmt, std::va_list ap)
 {
@@ -45,42 +29,6 @@ format(const char *fmt, ...)
     std::string s = vformat(fmt, ap);
     va_end(ap);
     return s;
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Info)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string s = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", s.c_str());
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Debug)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string s = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "debug: %s\n", s.c_str());
-}
-
-void
-warn(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Warn)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string s = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "warn: %s\n", s.c_str());
 }
 
 void

@@ -3,11 +3,13 @@
  * Status and error reporting helpers, in the spirit of gem5's
  * logging.hh.
  *
- * - inform(): normal operating messages.
- * - warn():   something is off but the simulation can continue.
+ * - format(): printf-style formatting into a std::string.
  * - fatal():  the *user* asked for something impossible (bad config,
  *             bad arguments); exits with an error code.
  * - panic():  an internal invariant was violated (a bug); aborts.
+ *
+ * There is no verbosity level: a condition worth reporting is a
+ * counter or a result field its caller can check, not a log line.
  */
 
 #ifndef BLUEDBM_SIM_LOGGING_HH
@@ -19,32 +21,11 @@
 namespace bluedbm {
 namespace sim {
 
-/** Verbosity levels for the global logger. */
-enum class LogLevel { Silent, Warn, Info, Debug };
-
-/** Set the global verbosity threshold. */
-void setLogLevel(LogLevel level);
-
-/** Get the global verbosity threshold. */
-LogLevel logLevel();
-
 /** printf-style formatting into a std::string. */
 std::string vformat(const char *fmt, std::va_list ap);
 
 /** printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Print an informational message (LogLevel::Info and above). */
-void inform(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Print a debug message (LogLevel::Debug only). */
-void debug(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Print a warning (LogLevel::Warn and above). */
-void warn(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /**

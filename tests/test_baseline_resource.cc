@@ -1,22 +1,19 @@
 /**
  * @file
- * Tests for the baseline device models and the resource/power
- * models.
+ * Tests for the baseline device models the paper compares against:
+ * the off-the-shelf SSD, the hard disk and the ram-cloud workload.
+ * Tables 1-3 (FPGA resources and power) are restated constants in
+ * bench/paper.cc and checked by its table1/table2/table3 rows.
  */
 
 #include <gtest/gtest.h>
 
-#include "baseline/ethernet.hh"
 #include "baseline/hdd.hh"
 #include "baseline/ram_cloud.hh"
 #include "baseline/ssd.hh"
-#include "resource/fpga_model.hh"
-#include "resource/power_model.hh"
 #include "sim/simulator.hh"
 
 using namespace bluedbm;
-using baseline::EthernetLink;
-using baseline::EthernetParams;
 using baseline::HardDisk;
 using baseline::HddParams;
 using baseline::OffTheShelfSsd;
@@ -133,108 +130,4 @@ TEST(RamCloud, SmallMissFractionCollapsesThroughput)
     EXPECT_LT(disk5, 15000.0);
     EXPECT_GT(pure / flash10, 3.5);
     EXPECT_GT(pure / disk5, 20.0);
-}
-
-TEST(Ethernet, LatencyIs100xIntegratedNetwork)
-{
-    sim::Simulator sim;
-    EthernetLink eth(sim, EthernetParams{});
-    Tick at = 0;
-    eth.send(16, [&] { at = sim.now(); });
-    sim.run();
-    // Integrated network: 0.48 us/hop. Ethernet: >= 50 us.
-    EXPECT_GE(at, sim::usToTicks(50));
-    EXPECT_GE(double(at) / double(sim::nsToTicks(480)), 100.0);
-}
-
-TEST(ResourceModel, Table1TotalsMatchPaper)
-{
-    auto rows = resource::flashControllerUsage(
-        resource::FlashControllerConfig{});
-    auto total = resource::totalUsage(rows, "Artix-7 Total");
-    EXPECT_EQ(total.luts, 75225u);
-    EXPECT_EQ(total.registers, 62801u);
-    EXPECT_EQ(total.bram36, 181u);
-
-    // Utilization percentages as published: 56% LUTs, 23% regs,
-    // 50% BRAM.
-    auto device = resource::artix7();
-    EXPECT_NEAR(resource::percent(total.luts, device.luts), 56, 1);
-    EXPECT_NEAR(resource::percent(total.registers, device.registers),
-                23, 1);
-    EXPECT_NEAR(resource::percent(total.bram36, device.bram36), 50,
-                1);
-}
-
-TEST(ResourceModel, Table1RowsMatchPaper)
-{
-    auto rows = resource::flashControllerUsage(
-        resource::FlashControllerConfig{});
-    // Bus controller row: 8 instances of 7131/4870/21.
-    EXPECT_EQ(rows[0].instances, 8u);
-    EXPECT_EQ(rows[0].luts, 7131u);
-    EXPECT_EQ(rows[0].registers, 4870u);
-    EXPECT_EQ(rows[0].bram36, 21u);
-    // ECC decoder group: 1790/1233/2.
-    EXPECT_EQ(rows[1].luts, 1790u);
-    EXPECT_EQ(rows[1].registers, 1233u);
-    // SerDes: 3061/3463/13.
-    EXPECT_EQ(rows[5].luts, 3061u);
-    EXPECT_EQ(rows[5].registers, 3463u);
-    EXPECT_EQ(rows[5].bram36, 13u);
-}
-
-TEST(ResourceModel, Table2TotalsMatchPaper)
-{
-    auto rows = resource::hostFpgaUsage(resource::HostFpgaConfig{});
-    auto total = resource::totalUsage(rows, "Virtex-7 Total");
-    EXPECT_EQ(total.luts, 135271u);
-    EXPECT_EQ(total.registers, 135897u);
-    EXPECT_EQ(total.bram36, 224u);
-    EXPECT_EQ(total.bram18, 18u);
-
-    auto device = resource::virtex7();
-    EXPECT_NEAR(resource::percent(total.luts, device.luts), 45, 1);
-    EXPECT_NEAR(resource::percent(total.registers, device.registers),
-                22, 1);
-}
-
-TEST(ResourceModel, CostsScaleWithDesignKnobs)
-{
-    resource::HostFpgaConfig small;
-    small.networkPorts = 2;
-    resource::HostFpgaConfig big;
-    big.networkPorts = 8;
-    auto s = resource::totalUsage(resource::hostFpgaUsage(small),
-                                  "s");
-    auto b = resource::totalUsage(resource::hostFpgaUsage(big), "b");
-    EXPECT_LT(s.luts, b.luts);
-
-    resource::FlashControllerConfig strong;
-    strong.eccDecodersPerBus = 4;
-    auto base = resource::totalUsage(
-        resource::flashControllerUsage(
-            resource::FlashControllerConfig{}),
-        "base");
-    auto ecc = resource::totalUsage(
-        resource::flashControllerUsage(strong), "ecc");
-    EXPECT_GT(ecc.luts, base.luts);
-}
-
-TEST(PowerModel, Table3MatchesPaper)
-{
-    resource::NodePower power;
-    EXPECT_DOUBLE_EQ(power.vc707Watts, 30.0);
-    EXPECT_DOUBLE_EQ(power.deviceWatts(), 40.0);
-    EXPECT_DOUBLE_EQ(power.totalWatts(), 240.0);
-    // "BlueDBM adds less than 20% of power consumption."
-    EXPECT_LT(power.deviceFraction(), 0.20);
-}
-
-TEST(PowerModel, RamCloudComparisonIsOrderOfMagnitude)
-{
-    resource::ClusterComparison cmp;
-    EXPECT_EQ(cmp.ramcloudServers(), 80u);
-    EXPECT_GT(cmp.powerAdvantage(), 5.0);
-    EXPECT_DOUBLE_EQ(cmp.bluedbmWatts(), 4800.0);
 }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Cluster-scale regression: the ROADMAP's 20-node target. Builds
- * fan-out-8 wirings (every serial port in use, paper figure 5) with
- * the Topology builders, validates them, and routes cross-node KV
- * traffic through the 20-node ring the paper describes (4 lanes
- * each way = 32.8 Gb/s of ring throughput, section 3.2).
+ * the fan-out-8 ring (every serial port in use, paper figure 5),
+ * validates it, and routes cross-node KV traffic through the 20-node
+ * ring the paper describes (4 lanes each way = 32.8 Gb/s of ring
+ * throughput, section 3.2).
  */
 
 #include <gtest/gtest.h>
@@ -57,22 +57,6 @@ TEST(ClusterScale, FanOut8WiringsValidate)
     }
     for (unsigned n = 0; n < 20; ++n)
         EXPECT_EQ(ports[n], 8u) << "node " << n;
-
-    // Distributed star with 3 hubs: hubs use the full fan-out of 8
-    // (2 hub-to-hub cables + 6 leaf uplinks).
-    net::Topology star = net::Topology::distributedStar(20, 3);
-    EXPECT_EQ(star.validate(), "");
-    std::vector<unsigned> sports(20, 0);
-    for (const auto &l : star.links) {
-        ++sports[l.nodeA];
-        ++sports[l.nodeB];
-    }
-    EXPECT_EQ(*std::max_element(sports.begin(), sports.end()), 8u);
-
-    // The round-trip through the config format preserves wiring.
-    net::Topology back = net::Topology::fromConfig(ring.toConfig());
-    EXPECT_EQ(back.validate(), "");
-    EXPECT_EQ(back.links.size(), ring.links.size());
 }
 
 TEST(ClusterScale, Ring20RoutesAreShortAndLoopFree)

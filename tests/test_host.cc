@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the host interface: CPU model, PCIe caps, buffer pools
- * and DMA burst reordering.
+ * Tests for the host interface: CPU model, PCIe caps and DMA burst
+ * reordering.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "sim/simulator.hh"
 
 using namespace bluedbm;
-using host::BufferPool;
 using host::BurstDma;
 using host::HostCpu;
 using host::PcieLink;
@@ -119,44 +118,6 @@ TEST(Pcie, DirectionsAreIndependent)
     EXPECT_LT(up, sim::msToTicks(2));
     EXPECT_EQ(pcie.devToHostBytes(), 1u << 20);
     EXPECT_EQ(pcie.hostToDevBytes(), 1u << 20);
-}
-
-TEST(BufferPool, AcquireReleaseCycle)
-{
-    BufferPool pool(4);
-    EXPECT_EQ(pool.available(), 4u);
-    std::vector<unsigned> got;
-    for (int i = 0; i < 4; ++i)
-        pool.acquire([&](unsigned idx) { got.push_back(idx); });
-    EXPECT_EQ(got.size(), 4u);
-    EXPECT_EQ(pool.available(), 0u);
-    pool.release(got[0]);
-    EXPECT_EQ(pool.available(), 1u);
-}
-
-TEST(BufferPool, WaitersServedOnRelease)
-{
-    BufferPool pool(1);
-    unsigned first = 999, second = 999;
-    pool.acquire([&](unsigned idx) { first = idx; });
-    pool.acquire([&](unsigned idx) { second = idx; });
-    EXPECT_EQ(first, 0u);
-    EXPECT_EQ(second, 999u); // still waiting
-    pool.release(first);
-    EXPECT_EQ(second, 0u); // waiter got the freed buffer
-}
-
-TEST(BufferPool, BuffersAreDistinct)
-{
-    BufferPool pool(128);
-    std::vector<bool> seen(128, false);
-    for (int i = 0; i < 128; ++i) {
-        pool.acquire([&](unsigned idx) {
-            EXPECT_FALSE(seen[idx]);
-            seen[idx] = true;
-        });
-    }
-    EXPECT_EQ(pool.available(), 0u);
 }
 
 TEST(BurstDma, CompletesWhenAllDataArrived)

@@ -2,7 +2,7 @@
  * @file
  * Cross-module integration tests: the whole appliance exercised end
  * to end -- cluster-scale smoke, FS + ISP + network combined flows,
- * multi-application accelerator sharing, and failure injection.
+ * a hand-wired topology, and failure injection.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include "analytics/text.hh"
 #include "core/cluster.hh"
-#include "isp/scheduler.hh"
 #include "isp/string_search.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -145,35 +144,6 @@ TEST(Integration, DistributedSearchAcrossNodes)
         EXPECT_EQ(found[n], expected[n]) << "node " << n;
 }
 
-TEST(Integration, SchedulerSharesEnginesAcrossApplications)
-{
-    // Two "applications" each submit many NN-style jobs to a pool of
-    // two accelerator units; FIFO sharing must interleave them and
-    // complete everything.
-    sim::Simulator sim;
-    Cluster cluster(sim, smallCluster(net::Topology::line(2)));
-    isp::AcceleratorScheduler sched(sim, 2);
-    const auto &geo = flash::Geometry::tiny();
-
-    std::map<int, int> completed;
-    for (int job = 0; job < 24; ++job) {
-        int app = job % 2;
-        sched.submit([&, app](unsigned, std::function<void()> rel) {
-            flash::Address addr = flash::Address::fromLinear(
-                geo, std::uint64_t(app * 37) % geo.pages());
-            cluster.node(0).ispReadLocal(
-                0, addr, [&, app, rel](PageBuffer) {
-                ++completed[app];
-                rel();
-            });
-        });
-    }
-    sim.run();
-    EXPECT_EQ(completed[0], 12);
-    EXPECT_EQ(completed[1], 12);
-    EXPECT_EQ(sched.granted(), 24u);
-}
-
 TEST(Integration, UncorrectableErrorsSurfaceThroughFullStack)
 {
     // Failure injection: crank the bit error rate so high that
@@ -203,23 +173,15 @@ TEST(Integration, UncorrectableErrorsSurfaceThroughFullStack)
     EXPECT_GT(node.card(0).nand().bitsCorrected(), 0u);
 }
 
-TEST(Integration, TopologyConfigRoundTripDrivesCluster)
+TEST(Integration, HandWiredTriangleDrivesCluster)
 {
-    // Build a cluster from a parsed config file (the paper's way of
-    // populating routing tables) and run traffic over it.
-    std::string config =
-        "# three nodes in a triangle\n"
-        "nodes 3\n"
-        "ports 8\n"
-        "link 0 0 1 0\n"
-        "link 1 1 2 0\n"
-        "link 2 1 0 1\n";
-    auto topo = net::Topology::fromConfig(config);
-    EXPECT_EQ(topo.nodes, 3u);
-    EXPECT_EQ(topo.links.size(), 3u);
-    // Round trip through the serializer.
-    auto again = net::Topology::fromConfig(topo.toConfig());
-    EXPECT_EQ(again.links.size(), topo.links.size());
+    // Any figure-5 shape is wired by hand from LinkSpecs: a triangle
+    // of three cables, validated by the network and carrying
+    // all-pairs remote reads.
+    net::Topology topo;
+    topo.nodes = 3;
+    topo.links = {{0, 0, 1, 0}, {1, 1, 2, 0}, {2, 1, 0, 1}};
+    ASSERT_EQ(topo.validate(), "");
 
     sim::Simulator sim;
     Cluster cluster(sim, smallCluster(topo));
@@ -235,21 +197,6 @@ TEST(Integration, TopologyConfigRoundTripDrivesCluster)
     }
     sim.run();
     EXPECT_EQ(got, 6);
-}
-
-TEST(IntegrationDeath, MalformedConfigsAreFatal)
-{
-    EXPECT_DEATH(net::Topology::fromConfig("link 0 0 1 0\n"),
-                 "missing the 'nodes'");
-    EXPECT_DEATH(net::Topology::fromConfig("nodes 2\nlink 0 0\n"),
-                 "link needs");
-    EXPECT_DEATH(net::Topology::fromConfig("nodes 2\nfrobnicate\n"),
-                 "unknown directive");
-    EXPECT_DEATH(
-        net::Topology::fromConfig("nodes 2\nlink 0 0 1 0 9\n"),
-        "trailing junk");
-    EXPECT_DEATH(net::Topology::fromConfig("nodes 0\n"),
-                 "bad node count");
 }
 
 TEST(Integration, FsAndFtlSurviveConcurrentRemoteTraffic)

@@ -18,7 +18,6 @@
 #include "fs/log_fs.hh"
 #include "isp/morris_pratt.hh"
 #include "isp/nearest_neighbor.hh"
-#include "isp/scheduler.hh"
 #include "isp/string_search.hh"
 #include "sim/simulator.hh"
 
@@ -27,7 +26,6 @@ using flash::FlashCard;
 using flash::FlashServer;
 using flash::Geometry;
 using flash::Timing;
-using isp::AcceleratorScheduler;
 using isp::MpMatcher;
 using isp::MpPattern;
 using isp::SearchResult;
@@ -164,6 +162,33 @@ TEST(StringSearch, FindsPlantedNeedlesExactly)
 
     SearchResult res = f.searchFile("hay", "N33dle!");
     EXPECT_EQ(res.positions, corpus.needlePositions);
+    EXPECT_EQ(res.uncorrectablePages, 0u);
+}
+
+TEST(StringSearch, UncorrectablePageIsCounted)
+{
+    // A failed decode still hands up its best-guess bytes, which the
+    // matcher then sees; the result must say so rather than look
+    // clean. No read retries (the default), so the forced verdict
+    // is final.
+    SearchFixture f;
+    auto corpus = analytics::makeCorpus(20000, "N33dle!", 12, 9);
+    ASSERT_TRUE(f.fs.create("hay"));
+    bool ok = false;
+    f.fs.append("hay", corpus.text, [&](bool o) { ok = o; });
+    f.sim.run();
+    ASSERT_TRUE(ok);
+    ASSERT_EQ(f.server.readRetries(), 0u);
+    flash::Address bad = f.fs.physicalAddresses("hay").at(7);
+    f.server.setReadFault([bad](const flash::Address &a) {
+        FlashServer::ReadFaultAction act;
+        act.uncorrectable = a == bad;
+        return act;
+    });
+
+    SearchResult res = f.searchFile("hay", "N33dle!");
+    EXPECT_EQ(res.uncorrectablePages, 1u);
+    EXPECT_GE(res.bytesScanned, 20000u);
 }
 
 TEST(StringSearch, MatchSpanningPageBoundaryFound)
@@ -300,61 +325,4 @@ TEST(NearestNeighbor, FindsClosestCandidateAcrossNodes)
     engine.query(query, {}, [&](isp::NnResult r) { result = r; });
     sim.run();
     EXPECT_EQ(result.comparisons, 0u);
-}
-
-TEST(Scheduler, JobsRunFifoAcrossUnits)
-{
-    sim::Simulator sim;
-    AcceleratorScheduler sched(sim, 2);
-    std::vector<int> order;
-    for (int i = 0; i < 6; ++i) {
-        sched.submit([&order, i, &sim](unsigned,
-                                       std::function<void()> rel) {
-            order.push_back(i);
-            sim.scheduleAfter(sim::usToTicks(10), rel);
-        });
-    }
-    sim.run();
-    ASSERT_EQ(order.size(), 6u);
-    for (int i = 0; i < 6; ++i)
-        EXPECT_EQ(order[i], i);
-    EXPECT_EQ(sched.granted(), 6u);
-    EXPECT_EQ(sched.freeUnits(), 2u);
-}
-
-TEST(Scheduler, ConcurrencyBoundedByUnits)
-{
-    sim::Simulator sim;
-    AcceleratorScheduler sched(sim, 3);
-    int running = 0, peak = 0;
-    for (int i = 0; i < 10; ++i) {
-        sched.submit([&](unsigned, std::function<void()> rel) {
-            ++running;
-            peak = std::max(peak, running);
-            sim.scheduleAfter(sim::usToTicks(5), [&, rel]() {
-                --running;
-                rel();
-            });
-        });
-    }
-    sim.run();
-    EXPECT_EQ(peak, 3);
-    EXPECT_EQ(running, 0);
-}
-
-TEST(Scheduler, UnitsReusedAfterRelease)
-{
-    sim::Simulator sim;
-    AcceleratorScheduler sched(sim, 1);
-    std::vector<unsigned> units;
-    for (int i = 0; i < 4; ++i) {
-        sched.submit([&](unsigned u, std::function<void()> rel) {
-            units.push_back(u);
-            rel();
-        });
-    }
-    sim.run();
-    ASSERT_EQ(units.size(), 4u);
-    for (unsigned u : units)
-        EXPECT_EQ(u, 0u);
 }

@@ -44,10 +44,6 @@ topoCases()
     return {
         {"ring8x2", Topology::ring(8, 2)},
         {"line5", Topology::line(5)},
-        {"mesh3x3", Topology::mesh2d(3, 3)},
-        {"star12h3", Topology::distributedStar(12, 3)},
-        {"fattree10", Topology::fatTree(10, 2)},
-        {"full6", Topology::fullyConnected(6)},
     };
 }
 

@@ -155,8 +155,29 @@ TEST(TableScan, FullScanWithNoPredicatesReturnsAllRows)
     ScanResult res = f.scan({});
     EXPECT_EQ(res.rows.size(), 500u);
     EXPECT_EQ(res.rowsScanned, 500u);
+    EXPECT_EQ(res.uncorrectablePages, 0u);
     for (std::uint64_t r = 0; r < 500; ++r)
         EXPECT_EQ(res.rows[r], r);
+}
+
+TEST(TableScan, UncorrectablePageIsCounted)
+{
+    // A failed decode still hands up its best-guess bytes, which the
+    // predicates then see; the result must say so rather than look
+    // clean. No read retries (the default), so the forced verdict
+    // is final.
+    Fixture f;
+    f.load(500);
+    ASSERT_EQ(f.server.readRetries(), 0u);
+    flash::Address bad = f.fs.physicalAddresses("table").at(5);
+    f.server.setReadFault([bad](const flash::Address &a) {
+        FlashServer::ReadFaultAction act;
+        act.uncorrectable = a == bad;
+        return act;
+    });
+    ScanResult res = f.scan({});
+    EXPECT_EQ(res.uncorrectablePages, 1u);
+    EXPECT_EQ(res.rowsScanned, 500u);
 }
 
 TEST(TableScan, SinglePredicateMatchesReference)

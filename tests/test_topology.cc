@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for topology builders and validation.
+ * Tests for the ring and line builders and for wiring validation.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@ using net::Topology;
 TEST(Topology, RingIsValid)
 {
     auto t = Topology::ring(20, 4);
-    EXPECT_TRUE(t.valid()) << t.validate();
+    EXPECT_EQ(t.validate(), "");
     EXPECT_EQ(t.nodes, 20u);
     // 20 nodes x 4 lanes = 80 cables.
     EXPECT_EQ(t.links.size(), 80u);
@@ -23,47 +23,15 @@ TEST(Topology, RingIsValid)
 TEST(Topology, LineIsValid)
 {
     auto t = Topology::line(5);
-    EXPECT_TRUE(t.valid()) << t.validate();
+    EXPECT_EQ(t.validate(), "");
     EXPECT_EQ(t.links.size(), 4u);
-}
-
-TEST(Topology, Mesh2dIsValid)
-{
-    auto t = Topology::mesh2d(4, 5);
-    EXPECT_TRUE(t.valid()) << t.validate();
-    EXPECT_EQ(t.nodes, 20u);
-    // Grid edges: (w-1)*h + w*(h-1) = 3*5 + 4*4 = 31.
-    EXPECT_EQ(t.links.size(), 31u);
-}
-
-TEST(Topology, DistributedStarIsValid)
-{
-    auto t = Topology::distributedStar(20, 4);
-    EXPECT_TRUE(t.valid()) << t.validate();
-    // Hub interconnect C(4,2)=6 plus 16 leaf uplinks = 22.
-    EXPECT_EQ(t.links.size(), 22u);
-}
-
-TEST(Topology, FatTreeIsValid)
-{
-    auto t = Topology::fatTree(15, 2);
-    EXPECT_TRUE(t.valid()) << t.validate();
-}
-
-TEST(Topology, FullyConnectedIsValid)
-{
-    auto t = Topology::fullyConnected(5);
-    EXPECT_TRUE(t.valid()) << t.validate();
-    EXPECT_EQ(t.links.size(), 10u);
 }
 
 TEST(Topology, PortBudgetRespected)
 {
     // Every builder must stay within 8 ports per node.
     for (const auto &t :
-         {Topology::ring(20, 4), Topology::mesh2d(5, 4),
-          Topology::distributedStar(20, 4), Topology::fatTree(15, 2),
-          Topology::fullyConnected(9)}) {
+         {Topology::ring(20, 4), Topology::line(20, 4)}) {
         std::vector<unsigned> used(t.nodes, 0);
         for (const auto &l : t.links) {
             ++used[l.nodeA];
@@ -80,7 +48,6 @@ TEST(Topology, DetectsPortReuse)
     t.nodes = 2;
     t.links.push_back(LinkSpec{0, 0, 1, 0});
     t.links.push_back(LinkSpec{0, 0, 1, 1}); // port 0 of node 0 reused
-    EXPECT_FALSE(t.valid());
     EXPECT_NE(t.validate().find("used twice"), std::string::npos);
 }
 
