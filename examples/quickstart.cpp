@@ -3,7 +3,9 @@
  * Quickstart: build a small BlueDBM appliance, store a file through
  * the log-structured file system, publish its physical addresses to
  * the flash server's address translation unit, and stream it through
- * the in-store processor -- the end-to-end flow of paper figure 8.
+ * the in-store processor -- the end-to-end flow of paper figure 8 --
+ * then read a page off a remote node over the integrated network.
+ * It exits 1 unless the append and the remote read both complete.
  *
  * Run:  ./quickstart
  */
@@ -89,21 +91,8 @@ main()
                 "(got=%d)\n",
                 ga.node, sim::ticksToUs(sim.now() - t0), int(got));
 
-    // --- 5. The compatibility FTL: a plain block device for
-    //        unmodified software.
-    flash::PageBuffer block(params.node.geometry.pageSize, 0x42);
-    node0.ftl().write(7, block, [](bool) {});
-    sim.run();
-    bool round_trip = false;
-    node0.ftl().read(7, [&](flash::PageBuffer data, bool rok) {
-        round_trip = rok && data == block;
-        std::printf("FTL block 7 round-trip: %s\n",
-                    round_trip ? "ok" : "FAILED");
-    });
-    sim.run();
-
     std::printf("simulated time: %.2f ms, events executed: %llu\n",
                 sim::ticksToUs(sim.now()) / 1000.0,
                 (unsigned long long)sim.eventsExecuted());
-    return ok && got && round_trip ? 0 : 1;
+    return ok && got ? 0 : 1;
 }

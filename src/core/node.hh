@@ -13,6 +13,12 @@
  *    integrated network (H-F);
  *  - hostReadRemoteViaHost: the conventional path through the remote
  *    server's software (H-RH-F), or its DRAM (H-D).
+ *
+ * Host software stores files through the log-structured file system
+ * on card 0 (fs(), paper section 4). There is no block-device FTL:
+ * none of the paper's measurements uses one, and a LogFs file serves
+ * any caller that wants a block device. Host-server interface 5,
+ * which the FTL used, stays reserved and idle (see node.cc).
  */
 
 #ifndef BLUEDBM_CORE_NODE_HH
@@ -27,7 +33,6 @@
 #include "flash/flash_card.hh"
 #include "flash/flash_server.hh"
 #include "fs/log_fs.hh"
-#include "ftl/ftl.hh"
 #include "host/host_cpu.hh"
 #include "host/pcie.hh"
 #include "host/software.hh"
@@ -100,9 +105,6 @@ class Node
 
     /** Log-structured file system (lives on card 0). */
     fs::LogFs &fs() { return *fs_; }
-
-    /** Compatibility FTL block device (lives on the last card). */
-    ftl::Ftl &ftl() { return *ftl_; }
 
     /** Host CPU. */
     host::HostCpu &cpu() { return *cpu_; }
@@ -205,7 +207,6 @@ class Node
     std::vector<std::unique_ptr<flash::FlashServer>> hostServers_;
     std::vector<std::unique_ptr<flash::FlashServer>> agentServers_;
     std::unique_ptr<fs::LogFs> fs_;
-    std::unique_ptr<ftl::Ftl> ftl_;
     std::unique_ptr<host::HostCpu> cpu_;
     std::unique_ptr<host::PcieLink> pcie_;
     std::unique_ptr<sim::LatencyRateServer> deviceDram_;

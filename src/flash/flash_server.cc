@@ -59,7 +59,8 @@ FlashServer::FlashServer(sim::Simulator &sim,
                    interfaces * queue_depth, port.tagCount());
     // Direct construction: Interface holds move-only Jobs in a
     // deque, so resize()'s copy-relocation path must never be
-    // instantiated. Neither vector grows after this.
+    // instantiated. Neither vector grows after this; a tag's job
+    // lives in jobPool_, which grows with the commands in flight.
     ifcs_ = std::vector<Interface>(interfaces);
     tagInfo_ = std::vector<TagInfo>(interfaces * queue_depth);
     port_.setClient(this);
@@ -308,8 +309,14 @@ FlashServer::pump(unsigned ifc)
         TagInfo &info = tagInfo_[tag];
         info.busy = true;
         info.ifc = ifc;
-        info.job = std::move(itf.pending.front());
-        info.stream = streamOf(info.job.op, info.job.pri);
+        if (freeJobs_.empty()) {
+            info.job = &jobPool_.emplace_back();
+        } else {
+            info.job = freeJobs_.back();
+            freeJobs_.pop_back();
+        }
+        *info.job = std::move(itf.pending.front());
+        info.stream = streamOf(info.job->op, info.job->pri);
         info.seq = itf.nextIssueSeq[info.stream]++;
         itf.pending.pop_front();
         ++itf.inFlight;
@@ -318,18 +325,18 @@ FlashServer::pump(unsigned ifc)
         // histogram; the spans only exist for traced ops.
         sim::Tick now = sim_.now();
         info.issued = now;
-        (info.job.pri == Priority::Read ? stageQueueRead_
-                                        : stageQueueBg_)
-            .record(now - info.job.enqueued);
-        if (info.job.queueSpan != 0) {
-            sim_.tracer().endSpan(info.job.queueSpan, now);
-            info.job.queueSpan = 0;
+        (info.job->pri == Priority::Read ? stageQueueRead_
+                                         : stageQueueBg_)
+            .record(now - info.job->enqueued);
+        if (info.job->queueSpan != 0) {
+            sim_.tracer().endSpan(info.job->queueSpan, now);
+            info.job->queueSpan = 0;
         }
         info.opSpan =
-            sim_.tracer().beginSpan(info.job.trace, "flash.op", now);
+            sim_.tracer().beginSpan(info.job->trace, "flash.op", now);
 
-        if (info.job.op == Op::WritePage && writeFault_ &&
-            writeFault_(info.job.addr)) {
+        if (info.job->op == Op::WritePage && writeFault_ &&
+            writeFault_(info.job->addr)) {
             // Injected program failure: the command never reaches
             // the card, so the page keeps its previous contents.
             injectedWriteFaults_.inc();
@@ -340,13 +347,13 @@ FlashServer::pump(unsigned ifc)
         }
 
         Command cmd;
-        cmd.op = info.job.op;
-        cmd.addr = info.job.addr;
+        cmd.op = info.job->op;
+        cmd.addr = info.job->addr;
         cmd.tag = tag;
-        cmd.group = info.job.group;
-        cmd.pri = info.job.pri;
-        cmd.readOffset = info.job.readOffset;
-        cmd.readLen = info.job.readLen;
+        cmd.group = info.job->group;
+        cmd.pri = info.job->pri;
+        cmd.readOffset = info.job->readOffset;
+        cmd.readLen = info.job->readLen;
         cmd.trace = info.opSpan;
         port_.sendCommand(cmd);
     }
@@ -360,13 +367,13 @@ FlashServer::complete(Tag tag, PageBuffer data, Status status)
         sim::panic("completion for idle tag %u", tag);
     unsigned ifc = info.ifc;
     Interface &itf = ifcs_[ifc];
-    bool write_done = info.job.op == Op::WritePage;
-    std::uint32_t bus = info.job.addr.bus;
+    bool write_done = info.job->op == Op::WritePage;
+    std::uint32_t bus = info.job->addr.bus;
 
     // Stage boundary: NAND service time (issue to completion,
     // including any read-fault delay the response absorbed).
     sim::Tick now = sim_.now();
-    (info.job.pri == Priority::Read ? stageNandRead_ : stageNandBg_)
+    (info.job->pri == Priority::Read ? stageNandRead_ : stageNandBg_)
         .record(now - info.issued);
     if (info.opSpan != 0) {
         sim_.tracer().endSpan(info.opSpan, now);
@@ -374,11 +381,13 @@ FlashServer::complete(Tag tag, PageBuffer data, Status status)
     }
 
     Completion done;
-    done.job = std::move(info.job);
+    done.job = std::move(*info.job);
     done.data = std::move(data);
     done.status = status;
     itf.reorder[info.stream].emplace(info.seq, std::move(done));
 
+    freeJobs_.push_back(info.job);
+    info.job = nullptr;
     info.busy = false;
     --itf.inFlight;
 
@@ -448,13 +457,13 @@ FlashServer::resendRead(Tag tag)
 {
     TagInfo &info = tagInfo_[tag];
     Command cmd;
-    cmd.op = info.job.op;
-    cmd.addr = info.job.addr;
+    cmd.op = info.job->op;
+    cmd.addr = info.job->addr;
     cmd.tag = tag;
-    cmd.group = info.job.group;
-    cmd.pri = info.job.pri;
-    cmd.readOffset = info.job.readOffset;
-    cmd.readLen = info.job.readLen;
+    cmd.group = info.job->group;
+    cmd.pri = info.job->pri;
+    cmd.readOffset = info.job->readOffset;
+    cmd.readLen = info.job->readLen;
     cmd.trace = info.opSpan;
     port_.sendCommand(cmd);
 }
@@ -463,8 +472,8 @@ void
 FlashServer::readDone(Tag tag, PageBuffer data, Status status)
 {
     TagInfo &info = tagInfo_[tag];
-    if (readFault_ && info.busy && info.job.op == Op::ReadPage) {
-        ReadFaultAction act = readFault_(info.job.addr);
+    if (readFault_ && info.busy && info.job->op == Op::ReadPage) {
+        ReadFaultAction act = readFault_(info.job->addr);
         if (act.uncorrectable) {
             // Forced decode failure: the bytes are delivered as-is
             // (a real failed decode hands up its best guess), only
@@ -481,8 +490,8 @@ FlashServer::readDone(Tag tag, PageBuffer data, Status status)
             // other reads keep flowing in order.
             injectedReadFaults_.inc();
             injectedReadDrops_.inc();
-            info.job.pageSink.reset();
-            info.job.dropped = true;
+            info.job->pageSink.reset();
+            info.job->dropped = true;
             complete(tag, PageBuffer{}, status);
             return;
         }
@@ -506,21 +515,21 @@ void
 FlashServer::readRetryCheck(Tag tag, PageBuffer data, Status status)
 {
     TagInfo &info = tagInfo_[tag];
-    if (info.busy && info.job.op == Op::ReadPage) {
+    if (info.busy && info.job->op == Op::ReadPage) {
         if (status == Status::Uncorrectable) {
-            if (info.job.retries < retryLimit_) {
+            if (info.job->retries < retryLimit_) {
                 // Re-sense on the same tag: the delivery-stream
                 // slot (seq) is preserved, so interface ordering
                 // never observes the retry; the NAND re-rolls its
                 // error draw at the block's current wear.
-                ++info.job.retries;
+                ++info.job->retries;
                 retriedReads_.inc();
                 resendRead(tag);
                 return;
             }
             if (retryLimit_ > 0)
                 retryFailures_.inc();
-        } else if (info.job.retries > 0) {
+        } else if (info.job->retries > 0) {
             retrySuccesses_.inc();
         }
     }
@@ -533,7 +542,7 @@ FlashServer::writeDataRequest(Tag tag)
     TagInfo &info = tagInfo_[tag];
     if (!info.busy)
         sim::panic("writeDataRequest for idle tag %u", tag);
-    port_.sendWriteData(tag, std::move(info.job.writeData));
+    port_.sendWriteData(tag, std::move(info.job->writeData));
 }
 
 void

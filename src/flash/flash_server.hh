@@ -351,8 +351,8 @@ class FlashServer : public Client
     {
         unsigned ifc = 0;
         std::uint64_t seq = 0;    //!< sequence within the stream
-        unsigned stream = 0;      //!< streamOf(job.op)
-        Job job;
+        unsigned stream = 0;      //!< streamOf(job->op)
+        Job *job = nullptr;       //!< in jobPool_ while busy
         bool busy = false;
         sim::Tick issued = 0;        //!< when the command left pump()
         std::uint64_t opSpan = 0;    //!< open flash.op span
@@ -384,6 +384,11 @@ class FlashServer : public Client
     std::unordered_map<std::uint32_t, StreamState> streams_;
     std::uint32_t nextStreamId_ = 1;
     std::vector<TagInfo> tagInfo_;
+    /** Jobs of the commands in flight, one per busy tag. The deque
+     * keeps addresses stable as it grows; freed slots are reused, so
+     * it grows to the peak number in flight, not to the tag count. */
+    std::deque<Job> jobPool_;
+    std::vector<Job *> freeJobs_;
     std::unordered_map<std::uint32_t, std::vector<Address>> atu_;
     WriteFault writeFault_;
     ReadFault readFault_;

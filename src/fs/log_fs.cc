@@ -54,7 +54,7 @@ LogFs::LogFs(sim::Simulator &sim, flash::FlashServer &server,
         params_.pressureLowWater = params_.cleanLowWater - 1;
     sim.metrics().registerGauge(
         "fs.free_blocks", {{"inst", std::to_string(inst_)}},
-        [this]() { return double(freeBlocks_.size()); });
+        [this]() { return double(freeBlocks()); });
     if (params_.spillInterface >= 0 &&
         (unsigned(params_.spillInterface) >= server_.interfaces() ||
          unsigned(params_.spillInterface) == ifc_))
@@ -64,18 +64,9 @@ LogFs::LogFs(sim::Simulator &sim, flash::FlashServer &server,
     if (params_.writeBatchMax >= 2)
         server_.enableWriteBatching(ifc_, params_.writeBatchMax,
                                     params_.writeBatchWindow);
-    std::uint64_t total_blocks =
-        std::uint64_t(geo_.buses) * geo_.chipsPerBus *
-        geo_.blocksPerChip;
-    blocks_.assign(total_blocks, BlockInfo{});
-    for (std::uint32_t blk = 0; blk < geo_.blocksPerChip; ++blk) {
-        for (std::uint32_t chip = 0; chip < geo_.chipsPerBus; ++chip) {
-            for (std::uint32_t bus = 0; bus < geo_.buses; ++bus) {
-                Address a{bus, chip, blk, 0};
-                freeBlocks_.push_back(blockIndex(a));
-            }
-        }
-    }
+    unusedBlocks_ = totalBlocks();
+    blocks_.resize((unusedBlocks_ + leafBlocks - 1) >> leafShift);
+    unusedNext_.assign(geo_.buses, 0);
     active_.assign(geo_.buses, ActiveBlock{});
 }
 
@@ -175,22 +166,21 @@ LogFs::trim(const std::string &name, std::uint64_t fpage)
 void
 LogFs::retireBlock(std::uint64_t bidx)
 {
-    BlockInfo &blk = blocks_[bidx];
+    if (!blocks_[bidx >> leafShift] ||
+        block(bidx).state == BlockState::Free)
+        sim::panic("retiring block %llu, which is in the free pool",
+                   static_cast<unsigned long long>(bidx));
+    BlockInfo &blk = block(bidx);
     if (blk.state == BlockState::Retired)
         return;
-    // Pull the block from wherever the allocator could still hand
-    // it out: the free list, or an open bus frontier.
-    auto fit =
-        std::find(freeBlocks_.begin(), freeBlocks_.end(), bidx);
-    if (fit != freeBlocks_.end())
-        freeBlocks_.erase(fit);
+    // Stop the allocator from landing more programs on it.
     for (ActiveBlock &frontier : active_) {
         if (frontier.open && frontier.block == bidx)
             frontier.open = false;
     }
     blk.state = BlockState::Retired;
     retiredBlocks_.inc();
-    if (freeBlocks_.size() < params_.cleanLowWater)
+    if (freeBlocks() < params_.cleanLowWater)
         reserveAlarms_.inc();
     // Surviving live pages drain out at maintenance priority; the
     // block is never erased or reused, offsets of the moved pages
@@ -226,7 +216,7 @@ LogFs::unmap(std::uint64_t phys)
     if (rit == reverse_.end())
         return;
     reverse_.erase(rit);
-    --blocks_[phys / geo_.pagesPerBlock].livePages;
+    --block(phys / geo_.pagesPerBlock).livePages;
     release(phys);
 }
 
@@ -296,16 +286,9 @@ LogFs::append(const std::string &name, std::vector<std::uint8_t> data,
     std::uint64_t span =
         sim_.tracer().beginSpan(trace, "fs.append", sim_.now());
 
-    // Stage the new bytes after any partial tail already on flash.
-    std::vector<std::uint8_t> staged = std::move(ino.tail);
-    ino.tail.clear();
-    staged.insert(staged.end(), data.begin(), data.end());
-    std::uint64_t first_page = ino.bytes / geo_.pageSize;
+    std::uint64_t fpage = ino.bytes / geo_.pageSize;
     ino.bytes += data.size();
 
-    // Cut into page-sized writes; the final partial page programs
-    // only its bytes (the page reads as zeroes past them) and is
-    // mirrored in the in-memory tail.
     struct Ctx
     {
         unsigned outstanding = 0;
@@ -323,24 +306,30 @@ LogFs::append(const std::string &name, std::vector<std::uint8_t> data,
         }
     };
 
-    std::uint64_t fpage = first_page;
-    std::size_t off = 0;
-    while (off < staged.size()) {
-        std::size_t take =
-            std::min<std::size_t>(geo_.pageSize, staged.size() - off);
-        auto first = staged.begin() +
-            std::vector<std::uint8_t>::difference_type(off);
-        PageBuffer page(first, first + std::ptrdiff_t(take));
-        if (take < geo_.pageSize) {
-            ino.tail.assign(staged.begin() +
-                                std::vector<std::uint8_t>::
-                                    difference_type(off),
-                            staged.end());
-        }
+    // Fill the in-memory tail (the file's last, partial page) in
+    // place, one page at a time. A page that fills up goes to flash
+    // as it is; a partial one programs a copy of its bytes (the page
+    // reads as zeroes past them) and stays the tail. A zero-length
+    // append still rewrites a non-empty tail page.
+    std::size_t pages = (ino.tail.size() + data.size() +
+                         geo_.pageSize - 1) / geo_.pageSize;
+    for (std::size_t off = 0; pages > 0; --pages) {
+        std::size_t take = std::min<std::size_t>(
+            geo_.pageSize - ino.tail.size(), data.size() - off);
+        if (ino.tail.size() + take > ino.tail.capacity())
+            ino.tail.reserve(geo_.pageSize);
+        auto first = data.begin() + std::ptrdiff_t(off);
+        ino.tail.insert(ino.tail.end(), first,
+                        first + std::ptrdiff_t(take));
+        off += take;
+        PageBuffer page;
+        if (ino.tail.size() == geo_.pageSize)
+            page = std::exchange(ino.tail, {});
+        else
+            page = ino.tail;
         ++ctx->outstanding;
         queuePageWrite(file_id, fpage, std::move(page), finish_one,
                        pri, span);
-        off += take;
         ++fpage;
     }
     ctx->issued_all = true;
@@ -422,11 +411,11 @@ LogFs::writeFilePage(std::uint32_t file_id, std::uint64_t fpage,
                   data = std::move(data),
                   done = std::move(done)](Address addr) mutable {
         std::uint64_t linear = addr.linearize(geo_);
-        ++blocks_[linear / geo_.pagesPerBlock].pendingWrites;
+        ++block(linear / geo_.pagesPerBlock).pendingWrites;
         server_.writePage(ifc_, addr, std::move(data),
                           [this, file_id, fpage, linear,
                            done = std::move(done)](Status st) {
-            --blocks_[linear / geo_.pagesPerBlock].pendingWrites;
+            --block(linear / geo_.pagesPerBlock).pendingWrites;
             if (st != Status::Ok) {
                 // Failed program: the page keeps whatever it held.
                 // A previously-written page stays mapped (its old
@@ -476,7 +465,7 @@ LogFs::writeFilePage(std::uint32_t file_id, std::uint64_t fpage,
                 unmap(ino.pages[fpage]);
             ino.pages[fpage] = linear;
             reverse_[linear] = RevEntry{file_id, fpage};
-            ++blocks_[linear / geo_.pagesPerBlock].livePages;
+            ++block(linear / geo_.pagesPerBlock).livePages;
             pagesWritten_.inc();
             done(true);
         },
@@ -600,10 +589,36 @@ LogFs::allocatePage(std::function<void(Address)> got, bool clean)
 }
 
 bool
-LogFs::tryGrant(bool clean, Address *out)
+LogFs::takeFreeBlock(std::uint32_t bus, std::uint64_t *out)
 {
     const std::uint64_t blocks_per_bus =
         std::uint64_t(geo_.chipsPerBus) * geo_.blocksPerChip;
+    std::uint64_t &next = unusedNext_[bus];
+    if (next < blocks_per_bus) {
+        Address a{bus, std::uint32_t(next % geo_.chipsPerBus),
+                  std::uint32_t(next / geo_.chipsPerBus), 0};
+        ++next;
+        --unusedBlocks_;
+        *out = blockIndex(a);
+        auto &leaf = blocks_[*out >> leafShift];
+        if (!leaf)
+            leaf = std::make_unique<BlockLeaf>();
+        return true;
+    }
+    auto it = std::find_if(erasedBlocks_.begin(), erasedBlocks_.end(),
+                           [&](std::uint64_t b) {
+        return b / blocks_per_bus == bus;
+    });
+    if (it == erasedBlocks_.end())
+        return false;
+    *out = *it;
+    erasedBlocks_.erase(it);
+    return true;
+}
+
+bool
+LogFs::tryGrant(bool clean, Address *out)
+{
     for (std::uint32_t attempt = 0; attempt < geo_.buses;
          ++attempt) {
         std::uint32_t bus = nextBus_;
@@ -614,18 +629,11 @@ LogFs::tryGrant(bool clean, Address *out)
             // the cleaner may take the last cleanReserve blocks (an
             // open frontier's remaining pages are fair game for
             // anyone -- they are already paid for).
-            if (!clean && freeBlocks_.size() <= cleanReserve)
+            if (!clean && freeBlocks() <= cleanReserve)
                 continue;
-            auto it = freeBlocks_.begin();
-            for (; it != freeBlocks_.end(); ++it) {
-                if (*it / blocks_per_bus == bus)
-                    break;
-            }
-            if (it == freeBlocks_.end())
+            if (!takeFreeBlock(bus, &frontier.block))
                 continue; // this bus is out of free blocks
-            frontier.block = *it;
-            freeBlocks_.erase(it);
-            blocks_[frontier.block].state = BlockState::Active;
+            block(frontier.block).state = BlockState::Active;
             frontier.nextPage = 0;
             frontier.open = true;
             maybeClean();
@@ -633,7 +641,7 @@ LogFs::tryGrant(bool clean, Address *out)
         Address addr = blockAddress(frontier.block);
         addr.page = frontier.nextPage++;
         if (frontier.nextPage == geo_.pagesPerBlock) {
-            blocks_[frontier.block].state = BlockState::Closed;
+            block(frontier.block).state = BlockState::Closed;
             frontier.open = false;
         }
         *out = addr;
@@ -677,7 +685,7 @@ LogFs::pumpAlloc()
 void
 LogFs::maybeClean()
 {
-    if (cleaning_ || freeBlocks_.size() >= params_.cleanLowWater)
+    if (cleaning_ || freeBlocks() >= params_.cleanLowWater)
         return;
     cleaning_ = true;
     cleanStep();
@@ -686,20 +694,28 @@ LogFs::maybeClean()
 void
 LogFs::cleanStep()
 {
-    if (freeBlocks_.size() >= params_.cleanHighWater) {
+    if (freeBlocks() >= params_.cleanHighWater) {
         cleaning_ = false;
         return;
     }
+    // Only blocks that have left the free pool can be Closed, and
+    // they all sit in allocated leaves; scanning those in index
+    // order keeps the lowest-index tie-break.
     std::uint64_t victim = invalidPage;
     std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-    for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
-        if (blocks_[b].state != BlockState::Closed)
+    for (std::uint64_t l = 0; l < blocks_.size(); ++l) {
+        if (!blocks_[l])
             continue;
-        if (blocks_[b].pendingWrites > 0)
-            continue; // pages still being programmed
-        if (blocks_[b].livePages < best) {
-            best = blocks_[b].livePages;
-            victim = b;
+        const BlockLeaf &leaf = *blocks_[l];
+        for (std::uint64_t i = 0; i < leafBlocks; ++i) {
+            if (leaf[i].state != BlockState::Closed)
+                continue;
+            if (leaf[i].pendingWrites > 0)
+                continue; // pages still being programmed
+            if (leaf[i].livePages < best) {
+                best = leaf[i].livePages;
+                victim = (l << leafShift) + i;
+            }
         }
     }
     if (victim == invalidPage || best >= geo_.pagesPerBlock) {
@@ -718,7 +734,7 @@ LogFs::cleanStep()
             live.push_back(base + p);
     }
     relocate(std::move(live), 0, [this, victim]() {
-        if (blocks_[victim].livePages != 0) {
+        if (block(victim).livePages != 0) {
             // Relocation failures (program faults, destination
             // blocks going bad mid-clean) left live pages behind:
             // park the victim Closed instead of erasing data that
@@ -733,8 +749,8 @@ LogFs::cleanStep()
                            [this, victim](Status st) {
             if (st == Status::Ok) {
                 blocksErased_.inc();
-                blocks_[victim].state = BlockState::Free;
-                freeBlocks_.push_back(victim);
+                block(victim).state = BlockState::Free;
+                erasedBlocks_.push_back(victim);
             } else {
                 // Endurance tripped (the PageStore keeps the data,
                 // but every live page already moved out): the block
@@ -788,14 +804,13 @@ LogFs::relocate(std::vector<std::uint64_t> pages, std::size_t next,
                       pri, data = std::move(data),
                       then = std::move(then)](Address dst) mutable {
             std::uint64_t new_linear = dst.linearize(geo_);
-            ++blocks_[new_linear / geo_.pagesPerBlock].pendingWrites;
+            ++block(new_linear / geo_.pagesPerBlock).pendingWrites;
             server_.writePage(
                 ifc_, dst, std::move(data),
                 [this, pages = std::move(pages), next, phys,
                  new_linear, then = std::move(then)](Status st)
                     mutable {
-                --blocks_[new_linear / geo_.pagesPerBlock]
-                      .pendingWrites;
+                --block(new_linear / geo_.pagesPerBlock).pendingWrites;
                 if (st == Status::BadBlock) {
                     // The destination went bad under us: remap it
                     // out of service; this source page stays live
@@ -817,8 +832,8 @@ LogFs::relocate(std::vector<std::uint64_t> pages, std::size_t next,
                             iit->second.pages[entry.filePage] =
                                 new_linear;
                             reverse_[new_linear] = entry;
-                            ++blocks_[new_linear /
-                                      geo_.pagesPerBlock].livePages;
+                            ++block(new_linear / geo_.pagesPerBlock)
+                                  .livePages;
                             pagesCleaned_.inc();
                             moved = true;
                         }

@@ -16,6 +16,13 @@
  * persistence is out of scope for the simulation (the paper's
  * evaluation does not exercise it either).
  *
+ * Block state is allocated on first use, so host memory follows the
+ * blocks written, not the card's capacity: the free pool walks the
+ * never-used blocks of each bus with a cursor, and the block table
+ * allocates a leaf of 64 blocks when one of them first leaves the
+ * pool. A file system over a 512 GB card (262,144 blocks) starts at
+ * about 32 KB of table.
+ *
  * Small appends group-commit: every page has at most one program
  * in flight, and rewrites of a page that arrive while one is in
  * flight (the tail page of a hot log under back-to-back appends)
@@ -39,9 +46,11 @@
 #ifndef BLUEDBM_FS_LOG_FS_HH
 #define BLUEDBM_FS_LOG_FS_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -233,9 +242,18 @@ class LogFs
     std::uint64_t pagesWritten() const { return pagesWritten_.value(); }
     std::uint64_t pagesCleaned() const { return pagesCleaned_.value(); }
     std::uint64_t blocksErased() const { return blocksErased_.value(); }
-    unsigned freeBlocks() const { return unsigned(freeBlocks_.size()); }
+    unsigned
+    freeBlocks() const
+    {
+        return unsigned(unusedBlocks_ + erasedBlocks_.size());
+    }
     /** Blocks the card holds (any state). */
-    unsigned totalBlocks() const { return unsigned(blocks_.size()); }
+    unsigned
+    totalBlocks() const
+    {
+        return unsigned(std::uint64_t(geo_.buses) * geo_.chipsPerBus *
+                        geo_.blocksPerChip);
+    }
     /** Page programs that completed with a failure status. */
     std::uint64_t pageWriteFailures() const { return writeFailures_.value(); }
     /** Page reads diverted to the spill interface. */
@@ -265,7 +283,7 @@ class LogFs
     [[nodiscard]] bool
     underPressure() const
     {
-        return freeBlocks_.size() <= params_.pressureLowWater;
+        return freeBlocks() <= params_.pressureLowWater;
     }
 
     /** Whether free blocks are down to the cleaner's relocation
@@ -276,7 +294,7 @@ class LogFs
     [[nodiscard]] bool
     exhausted() const
     {
-        return freeBlocks_.size() <= cleanReserve;
+        return freeBlocks() <= cleanReserve;
     }
 
     /** Free blocks the allocator holds back for cleaner relocation:
@@ -316,6 +334,19 @@ class LogFs
         BlockState state = BlockState::Free;
     };
 
+    /** The block table is a vector of leaves of leafBlocks blocks. */
+    static constexpr unsigned leafShift = 6;
+    static constexpr std::uint64_t leafBlocks = std::uint64_t(1)
+        << leafShift;
+    using BlockLeaf = std::array<BlockInfo, leafBlocks>;
+
+    /** State of block @p bidx; it must have left the free pool. */
+    BlockInfo &
+    block(std::uint64_t bidx)
+    {
+        return (*blocks_[bidx >> leafShift])[bidx % leafBlocks];
+    }
+
     struct RevEntry
     {
         std::uint32_t fileId = 0;
@@ -354,15 +385,20 @@ class LogFs
     void pumpAlloc();
     /** Try to grant one page under @p clean's reserve rules. */
     [[nodiscard]] bool tryGrant(bool clean, flash::Address *out);
+    /** Take bus @p bus's next free block out of the pool. */
+    [[nodiscard]] bool takeFreeBlock(std::uint32_t bus,
+                                     std::uint64_t *out);
     void maybeClean();
     void cleanStep();
     void relocate(std::vector<std::uint64_t> pages, std::size_t next,
                   std::function<void()> then);
 
     /**
-     * Pull block @p bidx out of service permanently: drop it from
-     * the free list / its bus frontier, and kick off a Background
-     * relocation of any pages still live in it. Idempotent.
+     * Pull block @p bidx out of service permanently: close its bus
+     * frontier if it is one, and kick off a Background relocation of
+     * any pages still live in it. Idempotent. Only a block that has
+     * left the free pool can go bad (a program or an erase hit it),
+     * so a free block panics.
      */
     void retireBlock(std::uint64_t bidx);
 
@@ -429,8 +465,17 @@ class LogFs
     std::unordered_map<std::uint64_t, std::uint32_t> readsInFlight_;
     /** Active write slots, keyed by slotKey(file, page). */
     std::unordered_map<std::uint64_t, WriteSlot> writeSlots_;
-    std::vector<BlockInfo> blocks_;
-    std::deque<std::uint64_t> freeBlocks_;
+    /** Leaf i holds blocks [i << leafShift, (i + 1) << leafShift);
+     * null until one of them first leaves the free pool. */
+    std::vector<std::unique_ptr<BlockLeaf>> blocks_;
+    /** The free pool hands out a bus's never-used blocks first, then
+     * its erased ones in erase order -- the order of one free list
+     * that started with every block in (block, chip, bus) order and
+     * had erased blocks appended. Per bus: the next never-used block
+     * in (block, chip) order. */
+    std::vector<std::uint64_t> unusedNext_;
+    std::uint64_t unusedBlocks_ = 0; //!< never used, all buses
+    std::deque<std::uint64_t> erasedBlocks_;
     struct AllocWaiter
     {
         std::function<void(flash::Address)> got;

@@ -1,6 +1,8 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -93,9 +95,20 @@ WorkloadEngine::WorkloadEngine(sim::Simulator &sim,
 PageBuffer
 WorkloadEngine::makeValue(Key key, std::uint32_t bytes)
 {
+    // Byte i is byte (i % 8) of h, xor the low byte of i. Eight at a
+    // time: from an i divisible by 8, the low bytes of i .. i + 7 are
+    // uint8(i) + 0 .. 7 without a carry, one per little-endian lane.
+    static_assert(std::endian::native == std::endian::little);
     PageBuffer value(bytes);
-    std::uint64_t h = kv::mix64(key);
-    for (std::uint32_t i = 0; i < bytes; ++i)
+    const std::uint64_t h = kv::mix64(key);
+    std::uint32_t i = 0;
+    for (; i + 8 <= bytes; i += 8) {
+        const std::uint64_t word =
+            h ^ (std::uint64_t(std::uint8_t(i)) * 0x0101010101010101ull +
+                 0x0706050403020100ull);
+        std::memcpy(value.data() + i, &word, sizeof word);
+    }
+    for (; i < bytes; ++i)
         value[i] = std::uint8_t((h >> ((i % 8) * 8)) ^ i);
     return value;
 }

@@ -193,35 +193,28 @@ TEST(Cluster, RemoteDramReadSkipsStorage)
     EXPECT_EQ(cluster.node(1).card(1).nand().pagesRead(), 0u);
 }
 
-TEST(Cluster, FsAndFtlCoexistOnOneNode)
-{
-    sim::Simulator sim;
-    Cluster cluster(sim, tinyCluster(2));
-    auto &node = cluster.node(0);
-
-    ASSERT_TRUE(node.fs().create("file"));
-    std::vector<std::uint8_t> data(1000, 0x42);
-    bool fs_ok = false;
-    node.fs().append("file", data, [&](bool ok) { fs_ok = ok; });
-
-    bool ftl_ok = false;
-    node.ftl().write(
-        0, PageBuffer(flash::Geometry::tiny().pageSize, 7),
-        [&](bool ok) { ftl_ok = ok; });
-    sim.run();
-    EXPECT_TRUE(fs_ok);
-    EXPECT_TRUE(ftl_ok);
-}
-
 TEST(Cluster, CapacityMatchesPaperScale)
 {
     // With default geometry, a 20-node cluster holds 20 TB of flash
-    // (the paper's headline capacity).
+    // (the paper's headline capacity). Building it is cheap: a node
+    // allocates host memory for the blocks and commands it uses, not
+    // for its cards' capacity.
     ClusterParams p;
     p.topology = net::Topology::ring(20, 4);
     sim::Simulator sim;
-    // Do not build full-size nodes (memory); just check arithmetic.
-    std::uint64_t per_card = flash::Geometry{}.capacityBytes();
-    std::uint64_t total = per_card * 2 * 20;
-    EXPECT_NEAR(double(total) / 1e12, 22.0, 1.0);
+    Cluster cluster(sim, p);
+    EXPECT_NEAR(double(cluster.capacityBytes()) / 1e12, 22.0, 1.0);
+    for (unsigned n = 0; n < cluster.size(); ++n) {
+        EXPECT_EQ(cluster.node(n).fs().totalBlocks(), 262144u);
+        EXPECT_EQ(cluster.node(n).fs().freeBlocks(), 262144u);
+    }
+    bool got = false;
+    cluster.node(0).ispReadRemote(
+        19, 1, flash::Address{7, 7, 4095, 255}, [&](PageBuffer d) {
+        EXPECT_EQ(d.size(), flash::Geometry{}.pageSize);
+        got = true;
+    });
+    sim.run();
+    EXPECT_TRUE(got);
+    EXPECT_EQ(cluster.node(19).remoteReadsServed(), 1u);
 }

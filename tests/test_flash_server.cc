@@ -567,3 +567,78 @@ TEST(FlashServer, RetryLadderExhaustsBudgetAndReportsFailure)
     f.sim.run();
     EXPECT_EQ(ok_st, Status::Ok);
 }
+
+TEST(FlashServer, SecondFullWaveCompletesLikeTheFirst)
+{
+    // Two waves that each fill every tag of every interface with a
+    // mix of serving reads, programs and maintenance reads. Each
+    // interface delivers every stream in issue order, and the second
+    // wave -- issued into recycled in-flight state -- completes in
+    // the same order and at the same offsets as the first.
+    sim::Simulator sim;
+    const Geometry geo = Geometry::tiny();
+    FlashCard card{sim, geo, Timing::fast(), 64};
+    const unsigned ifcs = 4, depth = 8;
+    FlashServer server{sim, card.splitter().addPort(ifcs * depth),
+                       ifcs, depth};
+
+    struct Delivery
+    {
+        unsigned ifc, kind, index;
+        sim::Tick offset;
+        Status status;
+        bool operator==(const Delivery &) const = default;
+    };
+    // Wave w programs block 2w and reads block 2w + 1, so both waves
+    // see the same chips, free and unprogrammed.
+    auto wave = [&](std::uint32_t w) {
+        std::vector<Delivery> log;
+        const sim::Tick start = sim.now();
+        unsigned writes = 0;
+        for (unsigned ifc = 0; ifc < ifcs; ++ifc) {
+            unsigned issued[3] = {};
+            for (unsigned d = 0; d < depth; ++d) {
+                const unsigned kind = (ifc + d) % 3;
+                const unsigned index = issued[kind]++;
+                auto record = [&log, &sim, start, ifc, kind,
+                               index](Status st) {
+                    log.push_back(Delivery{ifc, kind, index,
+                                           sim.now() - start, st});
+                };
+                if (kind == 1) {
+                    const unsigned n = writes++;
+                    Address a{n % 2, (n / 2) % 2, 2 * w, n / 4};
+                    server.writePage(ifc, a,
+                                     PageBuffer(geo.pageSize,
+                                                std::uint8_t(n)),
+                                     record);
+                    continue;
+                }
+                Address a{d % 2, (d / 2) % 2, 2 * w + 1, ifc};
+                server.readPage(ifc, a,
+                                [record](PageBuffer, Status st) {
+                    record(st);
+                },
+                                kind == 0 ? flash::Priority::Read
+                                          : flash::Priority::Background);
+            }
+        }
+        EXPECT_EQ(server.queueLength(0), depth);
+        sim.run();
+        return log;
+    };
+
+    const auto first = wave(0);
+    const auto second = wave(1);
+    ASSERT_EQ(first.size(), std::size_t(ifcs * depth));
+    EXPECT_EQ(second, first);
+    unsigned next[ifcs][3] = {};
+    for (const Delivery &d : first) {
+        EXPECT_EQ(d.status, Status::Ok);
+        EXPECT_EQ(d.index, next[d.ifc][d.kind]++)
+            << "interface " << d.ifc << " stream " << d.kind;
+    }
+    // The second wave's last program (the 11th) landed.
+    EXPECT_EQ(card.nand().store().read(Address{0, 1, 2, 2}),
+              PageBuffer(geo.pageSize, std::uint8_t(10)));
+}

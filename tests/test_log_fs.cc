@@ -747,3 +747,102 @@ TEST(LogFs, PageSupersededUnderAReadKeepsItsBytesUntilTheRead)
     EXPECT_TRUE(f.card.nand().store().isProgrammed(old_page));
     EXPECT_EQ(f.card.nand().store().storedPages(), 1u);
 }
+
+// ---------------------------------------------------------------- //
+// Block allocation, pinned
+// ---------------------------------------------------------------- //
+
+TEST(LogFs, BlockAllocationIsPinnedOnAMultiBusCard)
+{
+    // Four buses of two chips with four blocks each: 32 blocks. The
+    // script fills most of the card, deletes a file, lets the cleaner
+    // relocate and erase, reuses the erased blocks and retires one
+    // block through a program that hits BadBlock. The cleaner starts
+    // early, so erased blocks join the pool while never-used ones
+    // remain. Where each page lands is what the rest of the
+    // simulator sees of the allocator, so every outcome is pinned
+    // value for value.
+    sim::Simulator sim;
+    Geometry geo;
+    geo.buses = 4;
+    geo.chipsPerBus = 2;
+    geo.blocksPerChip = 4;
+    geo.pagesPerBlock = 4;
+    geo.pageSize = 256;
+    FlashCard card{sim, geo, Timing::fast(), 64};
+    FlashServer server{sim, card.splitter().addPort(64), 2, 16};
+    fs::FsParams params;
+    params.cleanLowWater = 12;
+    params.cleanHighWater = 16;
+    LogFs fs{sim, server, 0, card.nand().store(), params};
+    EXPECT_EQ(fs.totalBlocks(), 32u);
+    EXPECT_EQ(fs.freeBlocks(), 32u);
+
+    auto append = [&](const std::string &name, std::size_t n,
+                      std::uint8_t seed) {
+        std::vector<std::uint8_t> data(n);
+        for (std::size_t i = 0; i < n; ++i)
+            data[i] = std::uint8_t(seed + i * 7);
+        bool ok = false;
+        fs.append(name, std::move(data), [&](bool o) { ok = o; });
+        sim.run();
+        return ok;
+    };
+    auto pages = [&](const std::string &name) {
+        std::vector<std::uint64_t> out;
+        for (const flash::Address &a : fs.physicalAddresses(name))
+            out.push_back(a.linearize(geo));
+        return out;
+    };
+
+    for (const char *name : {"a", "b", "c", "d"})
+        ASSERT_TRUE(fs.create(name));
+    // Fill: "a" grows by a page and a half per round, so its tail
+    // page is rewritten and the old copy dies; "b" grows by two.
+    for (unsigned r = 0; r < 26; ++r) {
+        ASSERT_TRUE(append("a", geo.pageSize * 3 / 2,
+                           std::uint8_t(r)));
+        ASSERT_TRUE(append("b", geo.pageSize * 2,
+                           std::uint8_t(0x40 + r)));
+    }
+    const std::uint64_t erased_after_fill = fs.blocksErased();
+    const unsigned free_after_fill = fs.freeBlocks();
+
+    // Free b's pages, then append page by page to "c" until the
+    // cleaner has erased blocks and the allocator has reused them.
+    ASSERT_TRUE(fs.remove("b"));
+    for (unsigned i = 0; i < 48; ++i)
+        ASSERT_TRUE(append("c", geo.pageSize, std::uint8_t(0x80 + i)));
+    const std::uint64_t erased_after_clean = fs.blocksErased();
+
+    // The block holding c's last page is the open frontier of its
+    // bus; declare it bad. One of the next four pages, one per bus,
+    // fails there and leaves a hole in "d"; c's page moves out.
+    card.nand().store().markBad(fs.physicalAddresses("c").back());
+    unsigned fails = 0;
+    for (unsigned i = 0; i < 4; ++i)
+        fails += append("d", geo.pageSize, std::uint8_t(0xc0 + i))
+            ? 0 : 1;
+
+    EXPECT_EQ(erased_after_fill, 7u);
+    EXPECT_EQ(free_after_fill, 7u);
+    EXPECT_EQ(erased_after_clean, 24u);
+    EXPECT_EQ(fails, 1u);
+    EXPECT_EQ(fs.retiredBlocks(), 1u);
+    EXPECT_EQ(fs.pagesCleaned(), 34u);
+    EXPECT_EQ(fs.blocksErased(), 24u);
+    EXPECT_EQ(fs.freeBlocks(), 7u);
+    EXPECT_EQ(fs.totalBlocks(), 32u);
+    EXPECT_EQ(pages("a"),
+              (std::vector<std::uint64_t>{
+                  0,   1,  88, 2,  3,  120, 16, 17, 66,  18, 19, 100, 4,
+                  5,   38, 6,  7,  60, 20,  21, 90, 22,  23, 122, 8,  9,
+                  89,  10, 11, 121, 101, 91, 123, 67, 103, 40, 25, 102,
+                  61}));
+    EXPECT_EQ(pages("c"),
+              (std::vector<std::uint64_t>{
+                  24,  62, 68,  37, 39, 63,  104, 65, 32,  76, 96,  12,
+                  33,  77, 97,  13, 34, 78,  98,  14, 35,  79, 99,  15,
+                  36,  64, 26,  41, 69, 105, 27,  42, 70,  106, 28, 43,
+                  71,  107, 29, 75, 72, 112, 30,  115, 73, 113, 31, 52}));
+}

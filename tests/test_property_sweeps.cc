@@ -2,8 +2,7 @@
  * @file
  * Parameterized property sweeps (TEST_P): invariants that must hold
  * across whole families of configurations -- network topologies,
- * flash geometries, FTL over-provisioning levels and link
- * parameters.
+ * flash geometries and link parameters.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 
 #include "flash/flash_card.hh"
 #include "flash/flash_server.hh"
-#include "ftl/ftl.hh"
 #include "net/network.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -250,61 +248,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GeoCase> &info) {
         return info.param.name;
     });
-
-// ----------------------------------------------------------------- //
-// FTL invariants across over-provisioning levels
-// ----------------------------------------------------------------- //
-
-class FtlOverProvisionProperty
-    : public ::testing::TestWithParam<double>
-{
-};
-
-TEST_P(FtlOverProvisionProperty, HotWorkloadStaysCorrectAndBounded)
-{
-    double op = GetParam();
-    sim::Simulator sim;
-    flash::Geometry geo = flash::Geometry::tiny();
-    flash::FlashCard card(sim, geo, flash::Timing::fast(), 64);
-    auto &port = card.splitter().addPort(64);
-    flash::FlashServer server(sim, port, 1, 16);
-    ftl::FtlParams params;
-    params.overProvision = op;
-    ftl::Ftl ftl(sim, server, 0, geo, params);
-
-    const std::uint64_t hot = 12;
-    const int rounds = 120;
-    auto pattern = [&](std::uint32_t seed) {
-        flash::PageBuffer p(geo.pageSize);
-        for (std::size_t i = 0; i < p.size(); ++i)
-            p[i] = std::uint8_t(seed * 17 + i);
-        return p;
-    };
-    for (int r = 0; r < rounds; ++r) {
-        for (std::uint64_t lpn = 0; lpn < hot; ++lpn) {
-            ftl.write(lpn, pattern(std::uint32_t(r * hot + lpn)),
-                      [](bool ok) { EXPECT_TRUE(ok); });
-        }
-        sim.run();
-    }
-    for (std::uint64_t lpn = 0; lpn < hot; ++lpn) {
-        flash::PageBuffer got;
-        ftl.read(lpn, [&](flash::PageBuffer d, bool ok) {
-            EXPECT_TRUE(ok);
-            got = std::move(d);
-        });
-        sim.run();
-        EXPECT_EQ(got,
-                  pattern(std::uint32_t((rounds - 1) * hot + lpn)));
-    }
-    // A hot set much smaller than a block keeps WAF modest at any
-    // sane over-provisioning.
-    EXPECT_LT(ftl.writeAmplification(), 2.0);
-    EXPECT_GT(ftl.freeBlocks(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(OverProvision, FtlOverProvisionProperty,
-                         ::testing::Values(0.07, 0.125, 0.25, 0.4));
 
 // ----------------------------------------------------------------- //
 // Link parameter sweeps: rate and latency scale as configured

@@ -168,6 +168,27 @@ TEST(WorkloadEngine, PreloadWritesEveryKeyReplicated)
     EXPECT_EQ(got, WorkloadEngine::makeValue(123, 32));
 }
 
+TEST(WorkloadEngine, ValueBytesFollowTheByteFormula)
+{
+    // makeValue writes a word at a time; byte i must still be byte
+    // (i % 8) of mix64(key) xor the low byte of i. The word path is
+    // what every put stores and every get is checked against, so a
+    // wrong rewrite would agree with itself in any run.
+    auto by_bytes = [](kv::Key key, std::uint32_t n) {
+        flash::PageBuffer v(n);
+        const std::uint64_t h = kv::mix64(key);
+        for (std::uint32_t i = 0; i < n; ++i)
+            v[i] = std::uint8_t((h >> ((i % 8) * 8)) ^ i);
+        return v;
+    };
+    for (std::uint32_t n : {0u, 1u, 7u, 8u, 9u, 255u, 256u, 257u, 2048u,
+                            4084u, 4095u}) {
+        for (kv::Key key = 0; key < 3000; ++key)
+            ASSERT_EQ(WorkloadEngine::makeValue(key, n), by_bytes(key, n))
+                << "key " << key << ", " << n << " bytes";
+    }
+}
+
 TEST(WorkloadEngine, ClosedLoopCompletesAndRecords)
 {
     sim::Simulator sim;
