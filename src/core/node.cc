@@ -16,19 +16,15 @@ namespace {
 /**
  * FlashServer shapes per agent. The host interface mirrors the
  * paper's 128 page buffers (4 I/O interfaces x 32 deep); interface
- * 4 of the host server belongs to the file system, and interface 6
+ * 4 of the host server belongs to the file system, and interface 5
  * is the file system's reserved read-spill lane (a read-hot file
  * stripes page reads onto it when the primary FS queue is deep).
- * Interface 5 is idle but reserved (it carried the section-4
- * compatibility FTL), so the host server keeps the shape every
- * tracked output was produced with: 7 interfaces, a 224-tag
- * splitter port, the spill lane at 6.
  */
 constexpr unsigned ispIfcs = 4, ispDepth = 64;
-constexpr unsigned hostIfcs = 7, hostDepth = 32;
+constexpr unsigned hostIfcs = 6, hostDepth = 32;
 constexpr unsigned hostIoIfcs = 4;
 constexpr unsigned agentIfcs = 4, agentDepth = 64;
-constexpr unsigned fsIfc = 4, fsSpillIfc = 6;
+constexpr unsigned fsIfc = 4, fsSpillIfc = 5;
 } // namespace
 
 Node::Node(sim::Simulator &sim, net::StorageNetwork &net,
@@ -58,10 +54,9 @@ Node::Node(sim::Simulator &sim, net::StorageNetwork &net,
 
     // File system on card 0; the other cards are raw flash for the
     // in-store processor and the remote read paths.
-    fs::FsParams fsp;
-    fsp.spillInterface = int(fsSpillIfc);
     fs_ = std::make_unique<fs::LogFs>(sim_, *hostServers_[0], fsIfc,
-                                      cards_[0]->nand().store(), fsp);
+                                      fsSpillIfc,
+                                      cards_[0]->nand().store());
 
     cpu_ = std::make_unique<host::HostCpu>(sim_, params_.cores);
     pcie_ = std::make_unique<host::PcieLink>(sim_, params_.pcie);

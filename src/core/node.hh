@@ -17,8 +17,7 @@
  * Host software stores files through the log-structured file system
  * on card 0 (fs(), paper section 4). There is no block-device FTL:
  * none of the paper's measurements uses one, and a LogFs file serves
- * any caller that wants a block device. Host-server interface 5,
- * which the FTL used, stays reserved and idle (see node.cc).
+ * any caller that wants a block device.
  */
 
 #ifndef BLUEDBM_CORE_NODE_HH

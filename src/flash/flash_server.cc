@@ -60,9 +60,9 @@ FlashServer::FlashServer(sim::Simulator &sim,
     // Direct construction: Interface holds move-only Jobs in a
     // deque, so resize()'s copy-relocation path must never be
     // instantiated. Neither vector grows after this; a tag's job
-    // lives in jobPool_, which grows with the commands in flight.
+    // lives in jobPool_, which grows with the commands undelivered.
     ifcs_ = std::vector<Interface>(interfaces);
-    tagInfo_ = std::vector<TagInfo>(interfaces * queue_depth);
+    tags_.assign(interfaces * queue_depth, nullptr);
     port_.setClient(this);
     for (unsigned i = 0; i < interfaces; ++i) {
         // Live queue depth as a computed gauge: no shadow counter
@@ -118,15 +118,20 @@ FlashServer::streamRead(unsigned ifc, std::uint32_t handle,
 
     if (count == 0)
         return;
-    std::uint32_t sid = nextStreamId_++;
-    if (nextStreamId_ == 0)
-        nextStreamId_ = 1;
-    streams_.emplace(sid, StreamState{std::move(sink), count});
+    StreamSink *stream;
+    if (freeStreams_.empty()) {
+        stream = &streamPool_.emplace_back();
+    } else {
+        stream = freeStreams_.back();
+        freeStreams_.pop_back();
+    }
+    stream->sink = std::move(sink);
+    stream->remaining = count;
     for (std::uint64_t i = 0; i < count; ++i) {
         Job job;
         job.op = Op::ReadPage;
         job.addr = pages[first + i];
-        job.streamId = sid;
+        job.stream = stream;
         job.pri = pri;
         job.enqueued = sim_.now();
         ifcs_[ifc].pending.push_back(std::move(job));
@@ -166,7 +171,7 @@ FlashServer::writePage(unsigned ifc, const Address &addr,
     Job job;
     job.op = Op::WritePage;
     job.addr = addr;
-    job.writeData = std::move(data);
+    job.data = std::move(data);
     job.writeSink = std::move(sink);
     job.pri = pri;
     job.trace = trace;
@@ -298,7 +303,7 @@ FlashServer::pump(unsigned ifc)
         // Find a free tag in this interface's tag window.
         Tag tag = FlashSplitter::Port::noTag;
         for (unsigned t = 0; t < depth_; ++t) {
-            if (!tagInfo_[tagBase(ifc) + t].busy) {
+            if (!tags_[tagBase(ifc) + t]) {
                 tag = tagBase(ifc) + t;
                 break;
             }
@@ -306,37 +311,34 @@ FlashServer::pump(unsigned ifc)
         if (tag == FlashSplitter::Port::noTag)
             sim::panic("inFlight below depth but no free tag");
 
-        TagInfo &info = tagInfo_[tag];
-        info.busy = true;
-        info.ifc = ifc;
+        Job *job;
         if (freeJobs_.empty()) {
-            info.job = &jobPool_.emplace_back();
+            job = &jobPool_.emplace_back();
         } else {
-            info.job = freeJobs_.back();
+            job = freeJobs_.back();
             freeJobs_.pop_back();
         }
-        *info.job = std::move(itf.pending.front());
-        info.stream = streamOf(info.job->op, info.job->pri);
-        info.seq = itf.nextIssueSeq[info.stream]++;
+        *job = std::move(itf.pending.front());
         itf.pending.pop_front();
+        itf.issued[streamOf(job->op, job->pri)].push_back(job);
+        tags_[tag] = job;
         ++itf.inFlight;
 
         // Stage boundary: the job leaves the queue. Always-on
         // histogram; the spans only exist for traced ops.
         sim::Tick now = sim_.now();
-        info.issued = now;
-        (info.job->pri == Priority::Read ? stageQueueRead_
-                                         : stageQueueBg_)
-            .record(now - info.job->enqueued);
-        if (info.job->queueSpan != 0) {
-            sim_.tracer().endSpan(info.job->queueSpan, now);
-            info.job->queueSpan = 0;
+        job->issued = now;
+        (job->pri == Priority::Read ? stageQueueRead_ : stageQueueBg_)
+            .record(now - job->enqueued);
+        if (job->queueSpan != 0) {
+            sim_.tracer().endSpan(job->queueSpan, now);
+            job->queueSpan = 0;
         }
-        info.opSpan =
-            sim_.tracer().beginSpan(info.job->trace, "flash.op", now);
+        job->opSpan =
+            sim_.tracer().beginSpan(job->trace, "flash.op", now);
 
-        if (info.job->op == Op::WritePage && writeFault_ &&
-            writeFault_(info.job->addr)) {
+        if (job->op == Op::WritePage && writeFault_ &&
+            writeFault_(job->addr)) {
             // Injected program failure: the command never reaches
             // the card, so the page keeps its previous contents.
             injectedWriteFaults_.inc();
@@ -345,50 +347,51 @@ FlashServer::pump(unsigned ifc)
             });
             continue;
         }
-
-        Command cmd;
-        cmd.op = info.job->op;
-        cmd.addr = info.job->addr;
-        cmd.tag = tag;
-        cmd.group = info.job->group;
-        cmd.pri = info.job->pri;
-        cmd.readOffset = info.job->readOffset;
-        cmd.readLen = info.job->readLen;
-        cmd.trace = info.opSpan;
-        port_.sendCommand(cmd);
+        send(tag);
     }
+}
+
+void
+FlashServer::send(Tag tag)
+{
+    const Job &job = *tags_[tag];
+    Command cmd;
+    cmd.op = job.op;
+    cmd.addr = job.addr;
+    cmd.tag = tag;
+    cmd.group = job.group;
+    cmd.pri = job.pri;
+    cmd.readOffset = job.readOffset;
+    cmd.readLen = job.readLen;
+    cmd.trace = job.opSpan;
+    port_.sendCommand(cmd);
 }
 
 void
 FlashServer::complete(Tag tag, PageBuffer data, Status status)
 {
-    TagInfo &info = tagInfo_[tag];
-    if (!info.busy)
+    Job *job = tags_[tag];
+    if (!job)
         sim::panic("completion for idle tag %u", tag);
-    unsigned ifc = info.ifc;
+    unsigned ifc = tag / depth_;
     Interface &itf = ifcs_[ifc];
-    bool write_done = info.job->op == Op::WritePage;
-    std::uint32_t bus = info.job->addr.bus;
+    bool write_done = job->op == Op::WritePage;
+    std::uint32_t bus = job->addr.bus;
 
     // Stage boundary: NAND service time (issue to completion,
     // including any read-fault delay the response absorbed).
     sim::Tick now = sim_.now();
-    (info.job->pri == Priority::Read ? stageNandRead_ : stageNandBg_)
-        .record(now - info.issued);
-    if (info.opSpan != 0) {
-        sim_.tracer().endSpan(info.opSpan, now);
-        info.opSpan = 0;
+    (job->pri == Priority::Read ? stageNandRead_ : stageNandBg_)
+        .record(now - job->issued);
+    if (job->opSpan != 0) {
+        sim_.tracer().endSpan(job->opSpan, now);
+        job->opSpan = 0;
     }
 
-    Completion done;
-    done.job = std::move(*info.job);
-    done.data = std::move(data);
-    done.status = status;
-    itf.reorder[info.stream].emplace(info.seq, std::move(done));
-
-    freeJobs_.push_back(info.job);
-    info.job = nullptr;
-    info.busy = false;
+    job->data = std::move(data);
+    job->status = status;
+    job->done = true;
+    tags_[tag] = nullptr;
     --itf.inFlight;
 
     if (write_done && itf.batchMax != 0 &&
@@ -406,74 +409,47 @@ FlashServer::complete(Tag tag, PageBuffer data, Status status)
 void
 FlashServer::deliver(unsigned ifc)
 {
-    Interface &itf = ifcs_[ifc];
-    // Page buffers restore FIFO order per stream: only the next
-    // sequence number of each class may leave its reorder buffer.
-    // Reads drain independently of writes/erases, so a read never
-    // waits on a slow (possibly suspended-and-resumed) program's
-    // completion slot.
-    for (unsigned stream = 0; stream < deliveryStreams; ++stream) {
-        while (true) {
-            auto it = itf.reorder[stream].find(
-                itf.nextDeliverSeq[stream]);
-            if (it == itf.reorder[stream].end())
-                break;
-            Completion c = std::move(it->second);
-            itf.reorder[stream].erase(it);
-            ++itf.nextDeliverSeq[stream];
-            if (c.job.op == Op::ReadPage) {
-                if (c.job.streamId != 0) {
-                    auto sit = streams_.find(c.job.streamId);
-                    if (sit == streams_.end())
-                        sim::panic("page for unknown stream %u",
-                                   c.job.streamId);
-                    // The sink may reenter streamRead() and rehash
-                    // streams_ (iterators die, value references
-                    // survive): retire the slot before invoking,
-                    // and never touch the iterator after the call.
-                    StreamState &st = sit->second;
-                    bool last = --st.remaining == 0;
-                    if (last) {
-                        PageSink sink = std::move(st.sink);
-                        streams_.erase(sit);
-                        if (!c.job.dropped)
-                            sink(std::move(c.data), c.status);
-                    } else if (!c.job.dropped) {
-                        st.sink(std::move(c.data), c.status);
-                    }
-                } else if (c.job.pageSink) {
-                    c.job.pageSink(std::move(c.data), c.status);
-                }
-            } else {
-                if (c.job.writeSink)
-                    c.job.writeSink(c.status);
+    // Page buffers restore FIFO order per stream: a stream's
+    // oldest job leaves once it is done, and the ones behind it
+    // wait. Reads drain independently of writes/erases, so a read
+    // never waits on a slow (possibly suspended-and-resumed)
+    // program's completion.
+    for (std::deque<Job *> &fifo : ifcs_[ifc].issued) {
+        while (!fifo.empty() && fifo.front()->done) {
+            // Retire the job and its stream record before running a
+            // sink: the sink may reenter the server and issue more.
+            Job *job = fifo.front();
+            fifo.pop_front();
+            PageBuffer data = std::move(job->data);
+            Status status = job->status;
+            PageSink page_sink = std::move(job->pageSink);
+            WriteSink write_sink = std::move(job->writeSink);
+            StreamSink *stream = job->stream;
+            bool dropped = job->dropped;
+            freeJobs_.push_back(job);
+            if (stream && --stream->remaining == 0) {
+                page_sink = std::move(stream->sink);
+                freeStreams_.push_back(stream);
+                stream = nullptr;
             }
+            if (dropped)
+                continue;
+            if (stream)
+                stream->sink(std::move(data), status);
+            else if (page_sink)
+                page_sink(std::move(data), status);
+            else if (write_sink)
+                write_sink(status);
         }
     }
 }
 
 void
-FlashServer::resendRead(Tag tag)
-{
-    TagInfo &info = tagInfo_[tag];
-    Command cmd;
-    cmd.op = info.job->op;
-    cmd.addr = info.job->addr;
-    cmd.tag = tag;
-    cmd.group = info.job->group;
-    cmd.pri = info.job->pri;
-    cmd.readOffset = info.job->readOffset;
-    cmd.readLen = info.job->readLen;
-    cmd.trace = info.opSpan;
-    port_.sendCommand(cmd);
-}
-
-void
 FlashServer::readDone(Tag tag, PageBuffer data, Status status)
 {
-    TagInfo &info = tagInfo_[tag];
-    if (readFault_ && info.busy && info.job->op == Op::ReadPage) {
-        ReadFaultAction act = readFault_(info.job->addr);
+    Job *job = tags_[tag];
+    if (readFault_ && job && job->op == Op::ReadPage) {
+        ReadFaultAction act = readFault_(job->addr);
         if (act.uncorrectable) {
             // Forced decode failure: the bytes are delivered as-is
             // (a real failed decode hands up its best guess), only
@@ -486,12 +462,11 @@ FlashServer::readDone(Tag tag, PageBuffer data, Status status)
         if (act.drop) {
             // The response is lost above the flash server: the
             // waiter hangs (its timeout machinery owns recovery),
-            // but the delivery slot retires so the interface's
-            // other reads keep flowing in order.
+            // but the job still retires in order so the interface's
+            // other reads keep flowing.
             injectedReadFaults_.inc();
             injectedReadDrops_.inc();
-            info.job->pageSink.reset();
-            info.job->dropped = true;
+            job->dropped = true;
             complete(tag, PageBuffer{}, status);
             return;
         }
@@ -514,22 +489,22 @@ FlashServer::readDone(Tag tag, PageBuffer data, Status status)
 void
 FlashServer::readRetryCheck(Tag tag, PageBuffer data, Status status)
 {
-    TagInfo &info = tagInfo_[tag];
-    if (info.busy && info.job->op == Op::ReadPage) {
+    Job *job = tags_[tag];
+    if (job && job->op == Op::ReadPage) {
         if (status == Status::Uncorrectable) {
-            if (info.job->retries < retryLimit_) {
-                // Re-sense on the same tag: the delivery-stream
-                // slot (seq) is preserved, so interface ordering
+            if (job->retries < retryLimit_) {
+                // Re-sense on the same tag: the job keeps its place
+                // in its delivery stream, so interface ordering
                 // never observes the retry; the NAND re-rolls its
                 // error draw at the block's current wear.
-                ++info.job->retries;
+                ++job->retries;
                 retriedReads_.inc();
-                resendRead(tag);
+                send(tag);
                 return;
             }
             if (retryLimit_ > 0)
                 retryFailures_.inc();
-        } else if (info.job->retries > 0) {
+        } else if (job->retries > 0) {
             retrySuccesses_.inc();
         }
     }
@@ -539,10 +514,10 @@ FlashServer::readRetryCheck(Tag tag, PageBuffer data, Status status)
 void
 FlashServer::writeDataRequest(Tag tag)
 {
-    TagInfo &info = tagInfo_[tag];
-    if (!info.busy)
+    Job *job = tags_[tag];
+    if (!job)
         sim::panic("writeDataRequest for idle tag %u", tag);
-    port_.sendWriteData(tag, std::move(info.job->writeData));
+    port_.sendWriteData(tag, std::move(job->data));
 }
 
 void

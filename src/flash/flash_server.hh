@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional> // lint: allow(hot-path-alloc) test-only fault hooks below
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -276,20 +275,34 @@ class FlashServer : public Client
     ///@}
 
   private:
+    /** One streamRead() in flight: the shared sink and pages left
+     * to deliver. Pooled; returned when the last page (dropped or
+     * not) retires. */
+    struct StreamSink
+    {
+        PageSink sink;
+        std::uint64_t remaining = 0;
+    };
+
     struct Job
     {
         Op op = Op::ReadPage;
         Address addr;
-        PageBuffer writeData;
+        /** The write payload until the program's data is sent; the
+         * read result once the command completed. */
+        PageBuffer data;
         PageSink pageSink;
         WriteSink writeSink;
-        /** Non-zero: a streamRead() page; the sink lives once in
-         * streams_ instead of being copied into every Job (the
-         * sinks are move-only). */
-        std::uint32_t streamId = 0;
-        /** Read-fault drop: deliver retires the slot but skips the
+        /** A streamRead() page: the sink lives once in the stream's
+         * record instead of in every Job (the sinks are move-only). */
+        StreamSink *stream = nullptr;
+        /** Read-fault drop: delivery retires the job but skips the
          * sink. */
         bool dropped = false;
+        /** Completed; delivers once every job issued ahead of it on
+         * its delivery stream has. */
+        bool done = false;
+        Status status = Status::Ok; //!< completion verdict
         std::uint32_t group = 0; //!< program-coalescing batch id
         Priority pri = Priority::Read; //!< traffic class
         std::uint32_t readOffset = 0; //!< partial read-out range
@@ -297,22 +310,17 @@ class FlashServer : public Client
         unsigned retries = 0;        //!< re-senses spent on this read
         std::uint64_t trace = 0;     //!< caller's tracing span
         std::uint64_t queueSpan = 0; //!< open flash.queue span
+        std::uint64_t opSpan = 0;    //!< open flash.op span
         sim::Tick enqueued = 0;      //!< when the job entered the server
-    };
-
-    struct Completion
-    {
-        Job job;
-        PageBuffer data;
-        Status status = Status::Ok;
+        sim::Tick issued = 0;        //!< when the command left pump()
     };
 
     /** Delivery streams per interface: serving reads, maintenance
-     * reads and writes/erases each reorder independently. A
-     * Background read queues the full array time behind a program
-     * (it never suspends), so sharing its stream with serving reads
-     * would head-of-line block them -- exactly what the split
-     * exists to prevent. */
+     * reads and writes/erases each deliver in their own issue
+     * order. A Background read queues the full array time behind a
+     * program (it never suspends), so sharing its stream with
+     * serving reads would head-of-line block them -- exactly what
+     * the split exists to prevent. */
     static constexpr unsigned deliveryStreams = 3;
 
     /** Delivery stream of a job (see above). */
@@ -328,11 +336,11 @@ class FlashServer : public Client
     struct Interface
     {
         std::deque<Job> pending;     //!< not yet issued
-        std::uint64_t nextIssueSeq[deliveryStreams] = {};
-        std::uint64_t nextDeliverSeq[deliveryStreams] = {};
+        /** Issued jobs per delivery stream, oldest first: the front
+         * leaves once it is done, so each stream delivers in issue
+         * order whatever order the flash completes in. */
+        std::deque<Job *> issued[deliveryStreams];
         unsigned inFlight = 0;
-        //! per-stream completion reorder buffers keyed by sequence
-        std::map<std::uint64_t, Completion> reorder[deliveryStreams];
         /** @name Write-coalescing stage (enableWriteBatching) */
         ///@{
         unsigned batchMax = 0;    //!< 0 = coalescing disabled
@@ -347,18 +355,10 @@ class FlashServer : public Client
         ///@}
     };
 
-    struct TagInfo
-    {
-        unsigned ifc = 0;
-        std::uint64_t seq = 0;    //!< sequence within the stream
-        unsigned stream = 0;      //!< streamOf(job->op)
-        Job *job = nullptr;       //!< in jobPool_ while busy
-        bool busy = false;
-        sim::Tick issued = 0;        //!< when the command left pump()
-        std::uint64_t opSpan = 0;    //!< open flash.op span
-    };
-
     void pump(unsigned ifc);
+    /** Send @p tag's job to the card: its first issue, or one more
+     * sense of a read on the retry ladder. */
+    void send(Tag tag);
     void complete(Tag tag, PageBuffer data, Status status);
     void deliver(unsigned ifc);
     unsigned tagBase(unsigned ifc) const { return ifc * depth_; }
@@ -368,36 +368,26 @@ class FlashServer : public Client
     /** Flush one (ifc, bus) batch into the command queue. */
     void flushBatch(unsigned ifc, std::uint32_t bus);
 
-    /** One streamRead() in flight: the shared sink and pages left
-     * to deliver. Erased when the last page (dropped or not)
-     * retires. */
-    struct StreamState
-    {
-        PageSink sink;
-        std::uint64_t remaining = 0;
-    };
-
     sim::Simulator &sim_;
     FlashSplitter::Port &port_;
     unsigned depth_;
     std::vector<Interface> ifcs_;
-    std::unordered_map<std::uint32_t, StreamState> streams_;
-    std::uint32_t nextStreamId_ = 1;
-    std::vector<TagInfo> tagInfo_;
-    /** Jobs of the commands in flight, one per busy tag. The deque
-     * keeps addresses stable as it grows; freed slots are reused, so
-     * it grows to the peak number in flight, not to the tag count. */
+    /** Job of each busy tag; null while the tag is free. */
+    std::vector<Job *> tags_;
+    /** Jobs issued and not yet delivered. The deque keeps addresses
+     * stable as it grows; freed slots are reused, so it grows to the
+     * peak number issued and undelivered, not to the tag count. */
     std::deque<Job> jobPool_;
     std::vector<Job *> freeJobs_;
+    /** streamRead() records, pooled the same way. */
+    std::deque<StreamSink> streamPool_;
+    std::vector<StreamSink *> freeStreams_;
     std::unordered_map<std::uint32_t, std::vector<Address>> atu_;
     WriteFault writeFault_;
     ReadFault readFault_;
     std::uint32_t nextGroup_ = 1;   //!< batch ids (0 = ungrouped)
     unsigned stagedTotal_ = 0;
     unsigned retryLimit_ = 0;       //!< read-retry ladder budget
-
-    /** Re-issue @p tag's read command for one more sense. */
-    void resendRead(Tag tag);
 
     /** Route a read verdict through the retry ladder, then
      * complete(). */

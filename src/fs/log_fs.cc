@@ -27,9 +27,8 @@ cell(sim::Simulator &sim, unsigned inst, const char *name)
 } // namespace
 
 LogFs::LogFs(sim::Simulator &sim, flash::FlashServer &server,
-             unsigned ifc, flash::PageStore &store,
-             const FsParams &params)
-    : sim_(sim), server_(server), ifc_(ifc), params_(params),
+             unsigned ifc, unsigned spill_ifc, flash::PageStore &store)
+    : sim_(sim), server_(server), ifc_(ifc), spillIfc_(spill_ifc),
       store_(store), geo_(store.geometry()),
       inst_(sim.metrics().nextInstance("fs")),
       pagesWritten_(cell(sim, inst_, "fs.pages_written")),
@@ -45,25 +44,13 @@ LogFs::LogFs(sim::Simulator &sim, flash::FlashServer &server,
       cleanParks_(cell(sim, inst_, "fs.clean_parks")),
       trimmedPages_(cell(sim, inst_, "fs.trimmed_pages"))
 {
-    // The red-line must sit below the cleaning trigger so ordinary
-    // cleaning engages before pressure shedding; clamp rather than
-    // reject so callers that only tightened cleanLowWater keep
-    // working.
-    if (params_.cleanLowWater > 0 &&
-        params_.pressureLowWater >= params_.cleanLowWater)
-        params_.pressureLowWater = params_.cleanLowWater - 1;
     sim.metrics().registerGauge(
         "fs.free_blocks", {{"inst", std::to_string(inst_)}},
         [this]() { return double(freeBlocks()); });
-    if (params_.spillInterface >= 0 &&
-        (unsigned(params_.spillInterface) >= server_.interfaces() ||
-         unsigned(params_.spillInterface) == ifc_))
-        sim::fatal("spill interface %d invalid (primary %u of %u)",
-                   params_.spillInterface, ifc_,
-                   server_.interfaces());
-    if (params_.writeBatchMax >= 2)
-        server_.enableWriteBatching(ifc_, params_.writeBatchMax,
-                                    params_.writeBatchWindow);
+    if (spillIfc_ >= server_.interfaces() || spillIfc_ == ifc_)
+        sim::fatal("spill interface %u invalid (primary %u of %u)",
+                   spillIfc_, ifc_, server_.interfaces());
+    server_.enableWriteBatching(ifc_, writeBatchMax, writeBatchWindow);
     unusedBlocks_ = totalBlocks();
     blocks_.resize((unusedBlocks_ + leafBlocks - 1) >> leafShift);
     unusedNext_.assign(geo_.buses, 0);
@@ -180,7 +167,7 @@ LogFs::retireBlock(std::uint64_t bidx)
     }
     blk.state = BlockState::Retired;
     retiredBlocks_.inc();
-    if (freeBlocks() < params_.cleanLowWater)
+    if (freeBlocks() < cleanLowWater)
         reserveAlarms_.inc();
     // Surviving live pages drain out at maintenance priority; the
     // block is never erased or reused, offsets of the moved pages
@@ -545,9 +532,8 @@ LogFs::read(const std::string &name, std::uint64_t offset,
         // serialized behind the write path's command queue.
         unsigned read_ifc = ifc_;
         if (pri == flash::Priority::Read &&
-            params_.spillInterface >= 0 &&
-            server_.queueLength(ifc_) >= params_.readSpreadDepth) {
-            read_ifc = unsigned(params_.spillInterface);
+            server_.queueLength(ifc_) >= readSpreadDepth) {
+            read_ifc = spillIfc_;
             spreadReads_.inc();
         }
         ++ctx->outstanding;
@@ -685,7 +671,7 @@ LogFs::pumpAlloc()
 void
 LogFs::maybeClean()
 {
-    if (cleaning_ || freeBlocks() >= params_.cleanLowWater)
+    if (cleaning_ || freeBlocks() >= cleanLowWater)
         return;
     cleaning_ = true;
     cleanStep();
@@ -694,7 +680,7 @@ LogFs::maybeClean()
 void
 LogFs::cleanStep()
 {
-    if (freeBlocks() >= params_.cleanHighWater) {
+    if (freeBlocks() >= cleanHighWater) {
         cleaning_ = false;
         return;
     }

@@ -63,54 +63,6 @@ namespace bluedbm {
 namespace fs {
 
 /**
- * File-system tuning knobs.
- */
-struct FsParams
-{
-    /** Blocks kept in reserve for the cleaner. */
-    unsigned cleanLowWater = 4;
-    /** Cleaner frees blocks until this many are free. */
-    unsigned cleanHighWater = 8;
-    /**
-     * Optional second FlashServer interface reserved for reads:
-     * when the primary interface's queue (pending + in flight)
-     * reaches readSpreadDepth, page reads stripe onto this one so a
-     * read-hot file is not serialized behind one command queue.
-     * Writes and erases stay on the primary interface, whose
-     * in-order completion the tail-rewrite protocol depends on.
-     * -1 disables spreading.
-     */
-    int spillInterface = -1;
-    /** Primary-interface queue depth that triggers read spreading. */
-    unsigned readSpreadDepth = 8;
-    /**
-     * Program coalescing on the primary interface: page writes from
-     * different files (or different pages of one file) headed for
-     * the same bus that arrive within writeBatchWindow of each other
-     * flush as one command group and share a NAND program window per
-     * chip (FlashServer::enableWriteBatching). 0 disables the stage.
-     * The stage is contention-gated: a write only ever stages while
-     * another write to the same bus is ahead of it, so an
-     * uncontended writer (a lone log's tail chain) is never slowed.
-     */
-    unsigned writeBatchMax = 4;
-    /** Ticks a staged page write may wait while the queue is busy
-     * (a small fraction of tPROG: enough to gather a concurrent
-     * burst, cheap against the program it may share). */
-    sim::Tick writeBatchWindow = sim::usToTicks(8);
-    /**
-     * Capacity red-line: at or below this many free blocks the FS
-     * reports pressure (underPressure(); kv::KvShard sheds puts
-     * with a retryable status) and the cleaner's page moves
-     * escalate from Background pacing to foreground
-     * (flash::Priority::Read) assists until the line is recrossed.
-     * Must sit below cleanLowWater so ordinary cleaning engages
-     * first.
-     */
-    unsigned pressureLowWater = 2;
-};
-
-/**
  * Log-structured file system over one flash card.
  */
 class LogFs
@@ -121,16 +73,46 @@ class LogFs
                                         bool ok)>;
 
     /**
-     * @param sim    simulation kernel
-     * @param server in-order flash interface
-     * @param ifc    FlashServer interface reserved for FS traffic
-     * @param store  backing store of the card behind @p server: its
-     *               geometry, and where dead pages are released
-     * @param params tuning knobs
+     * @param sim       simulation kernel
+     * @param server    in-order flash interface
+     * @param ifc       FlashServer interface reserved for FS traffic
+     * @param spill_ifc second interface of @p server reserved for
+     *                  reads: when @p ifc's queue (pending + in
+     *                  flight) reaches readSpreadDepth, serving page
+     *                  reads stripe onto it so a read-hot file is
+     *                  not serialized behind one command queue.
+     *                  Writes and erases stay on @p ifc, whose
+     *                  in-order completion the tail-rewrite
+     *                  protocol depends on.
+     * @param store     backing store of the card behind @p server:
+     *                  its geometry, and where dead pages are
+     *                  released
      */
     LogFs(sim::Simulator &sim, flash::FlashServer &server,
-          unsigned ifc, flash::PageStore &store,
-          const FsParams &params = FsParams{});
+          unsigned ifc, unsigned spill_ifc, flash::PageStore &store);
+
+    /**
+     * @name Free-block thresholds
+     * docs/aging.md walks the ladder they form.
+     */
+    ///@{
+    /** The cleaner starts below this many free blocks; a retirement
+     * that leaves fewer counts a reserve alarm. */
+    static constexpr unsigned cleanLowWater = 4;
+    /** The cleaner frees blocks until this many are free. */
+    static constexpr unsigned cleanHighWater = 8;
+    /**
+     * Capacity red-line: at or below this many free blocks the FS
+     * reports pressure (underPressure(); kv::KvShard sheds puts
+     * with a retryable status) and the cleaner's page moves
+     * escalate from Background pacing to foreground
+     * (flash::Priority::Read) assists until the line is recrossed.
+     */
+    static constexpr unsigned pressureLowWater = 2;
+    static_assert(pressureLowWater < cleanLowWater,
+                  "ordinary cleaning must engage before pressure "
+                  "shedding");
+    ///@}
 
     /** Page size in bytes. */
     std::uint32_t pageSize() const { return geo_.pageSize; }
@@ -279,11 +261,11 @@ class LogFs
     ///@}
 
     /** Whether free blocks are at or below the capacity red-line
-     * (FsParams::pressureLowWater). */
+     * (pressureLowWater). */
     [[nodiscard]] bool
     underPressure() const
     {
-        return freeBlocks() <= params_.pressureLowWater;
+        return freeBlocks() <= pressureLowWater;
     }
 
     /** Whether free blocks are down to the cleaner's relocation
@@ -304,6 +286,26 @@ class LogFs
     static constexpr std::size_t cleanReserve = 1;
 
   private:
+    /** Primary-interface queue depth that triggers read spreading
+     * onto the spill interface. */
+    static constexpr unsigned readSpreadDepth = 8;
+    /**
+     * Program coalescing on the primary interface: page writes from
+     * different files (or different pages of one file) headed for
+     * the same bus that arrive within writeBatchWindow of each other
+     * flush as one command group of at most writeBatchMax and share
+     * a NAND program window per chip
+     * (FlashServer::enableWriteBatching). The stage is
+     * contention-gated: a write only ever stages while another
+     * write to the same bus is ahead of it, so an uncontended
+     * writer (a lone log's tail chain) is never slowed.
+     */
+    static constexpr unsigned writeBatchMax = 4;
+    /** Ticks a staged page write may wait while the queue is busy
+     * (a small fraction of tPROG: enough to gather a concurrent
+     * burst, cheap against the program it may share). */
+    static constexpr sim::Tick writeBatchWindow = 8 * sim::oneUs;
+
     static constexpr std::uint64_t invalidPage = ~std::uint64_t(0);
     /** A fresh page whose program failed: a poisoned hole. */
     static constexpr std::uint64_t failedPage = ~std::uint64_t(0) - 1;
@@ -450,7 +452,7 @@ class LogFs
     sim::Simulator &sim_;
     flash::FlashServer &server_;
     unsigned ifc_;
-    FsParams params_;
+    unsigned spillIfc_;
     flash::PageStore &store_;
     flash::Geometry geo_;
 

@@ -53,13 +53,12 @@ FreqSketch::estimate(Key key) const
     return est;
 }
 
-KvCache::KvCache(const Params &params)
-    : params_(params), sketch_(params.slots * 4)
+KvCache::KvCache(unsigned slots) : slots_(slots), sketch_(slots * 4)
 {
-    if (params_.slots == 0)
+    if (slots_ == 0)
         sim::fatal("KvCache built with zero slots (gate on "
                    "cacheSlots before constructing)");
-    map_.reserve(params_.slots * 2);
+    map_.reserve(slots_ * 2);
 }
 
 void
@@ -92,11 +91,11 @@ KvCache::fill(Key key, std::uint64_t version,
         lru_.splice(lru_.begin(), lru_, it->second);
         return;
     }
-    if (sketch_.estimate(key) < params_.admitHits) {
+    if (sketch_.estimate(key) < admitHits) {
         ++rejectedFills_;
         return; // not hot enough to displace the resident set
     }
-    if (map_.size() >= params_.slots) {
+    if (map_.size() >= slots_) {
         ++evictions_;
         map_.erase(lru_.back().first);
         lru_.pop_back();

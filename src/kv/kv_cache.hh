@@ -74,22 +74,14 @@ class FreqSketch
 class KvCache
 {
   public:
-    struct Params
-    {
-        /** Cached values (0 disables the cache entirely). */
-        unsigned slots = 128;
-        /** Sketch estimate required before a key may occupy a
-         * slot (1 admits on first fill). */
-        unsigned admitHits = 2;
-    };
-
     struct Entry
     {
         std::uint64_t version = 0;
         flash::PageBuffer value;
     };
 
-    explicit KvCache(const Params &params);
+    /** @param slots cached values (>= 1; KvParams::cacheSlots). */
+    explicit KvCache(unsigned slots);
 
     /** Record one access of @p key in the admission sketch. */
     void touch(Key key);
@@ -134,7 +126,11 @@ class KvCache
   private:
     using LruList = std::list<std::pair<Key, Entry>>;
 
-    Params params_;
+    /** Sketch estimate required before a key may occupy a slot:
+     * one request alone never displaces a resident entry. */
+    static constexpr unsigned admitHits = 2;
+
+    unsigned slots_;
     FreqSketch sketch_;
     LruList lru_; //!< front = most recent
     std::unordered_map<Key, LruList::iterator> map_;

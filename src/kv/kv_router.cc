@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -31,6 +32,13 @@ constexpr unsigned vnodesPerNode = 64;
  * p99 and throughput targets clear with margin.
  */
 constexpr unsigned logStripes = 5;
+
+/** Shard log file name (one per node's file system). */
+constexpr const char *shardLog = "kv.shard.log";
+
+/** Failover retries per read (distinct replicas, each paying a
+ * fresh readTimeoutUs) before the read fails with Error. */
+constexpr unsigned readRetries = 1;
 
 } // namespace
 
@@ -82,9 +90,6 @@ KvRouter::KvRouter(sim::Simulator &sim, core::Cluster &cluster,
                    params_.writeQuorum, params_.replication);
     if (params_.repairChunk == 0)
         sim::fatal("repair chunk must be >= 1");
-    if (params_.readRetries >= 2 * maxReplication)
-        sim::fatal("readRetries %u exceeds the per-op target "
-                   "budget", params_.readRetries);
 
     // Hash ring: vnodesPerNode points per active node, sorted once.
     // Every node derives identical owners with no directory service.
@@ -104,16 +109,11 @@ KvRouter::KvRouter(sim::Simulator &sim, core::Cluster &cluster,
 
     for (unsigned n = 0; n < cluster_.size(); ++n) {
         shards_.emplace_back(std::make_unique<KvShard>(
-            sim_, cluster_.node(n).fs(), params_.shardLog,
-            logStripes));
-        if (params_.cacheSlots > 0) {
-            KvCache::Params cp;
-            cp.slots = params_.cacheSlots;
-            cp.admitHits = params_.cacheAdmitHits;
-            caches_.emplace_back(std::make_unique<KvCache>(cp));
-        } else {
-            caches_.emplace_back(nullptr);
-        }
+            sim_, cluster_.node(n).fs(), shardLog, logStripes));
+        caches_.emplace_back(
+            params_.cacheSlots > 0
+                ? std::make_unique<KvCache>(params_.cacheSlots)
+                : nullptr);
     }
 
     // Quantities that move both ways (or are maxima) stay plain
@@ -165,15 +165,11 @@ KvRouter::KvRouter(sim::Simulator &sim, core::Cluster &cluster,
     }
 
     installAgents();
-    if (params_.repairIntervalUs > 0)
-        armRepairTimer();
 }
 
 KvRouter::~KvRouter()
 {
     *alive_ = false;
-    if (repairTimer_ != sim::invalidEventId)
-        sim_.cancel(repairTimer_);
     for (Member &m : members_) {
         if (m.graceTimer != sim::invalidEventId)
             sim_.cancel(m.graceTimer);
@@ -187,23 +183,6 @@ KvRouter::~KvRouter()
         if (op.timer != sim::invalidEventId)
             sim_.cancel(op.timer);
     }
-}
-
-void
-KvRouter::armRepairTimer()
-{
-    repairTimer_ = sim_.scheduleAfter(
-        sim::usToTicks(double(params_.repairIntervalUs)), [this]() {
-        repairTimer_ = sim::invalidEventId;
-        if (sweepRunning_) {
-            // A manual sweep (or a membership handoff) is
-            // mid-flight: let it finish and try again next
-            // interval (sweeps never overlap).
-            armRepairTimer();
-            return;
-        }
-        repairSweep([this]() { armRepairTimer(); });
-    });
 }
 
 // ---------------------------------------------------------------- //
@@ -1393,7 +1372,7 @@ KvRouter::completeOne(std::uint64_t req_id, KvStatus st,
             // never fills the cache -- it answers from a different
             // replica's version space (see get()).
             NodeId next;
-            if (op.attempts <= params_.readRetries &&
+            if (op.attempts <= readRetries &&
                 pickRetryTarget(op.key, op.origin, op.sent,
                                 op.sentCount, &next)) {
                 retriedReads_.inc();
@@ -1528,12 +1507,12 @@ void
 KvRouter::repairSweep(std::function<void()> done)
 {
     if (sweepRunning_) {
-        // A sweep or membership handoff is mid-flight (possibly
-        // the periodic timer's): queue this request and serve
-        // every queued caller with one fresh full sweep once the
-        // current one completes. The completion contract holds --
-        // the caller's done still fires only after a whole-ring
-        // pass that started at or after the request.
+        // A sweep or membership handoff is mid-flight: queue this
+        // request and serve every queued caller with one fresh
+        // full sweep once the current one completes. The
+        // completion contract holds -- the caller's done still
+        // fires only after a whole-ring pass that started at or
+        // after the request.
         queuedSweeps_.push_back(std::move(done));
         return;
     }

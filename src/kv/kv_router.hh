@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -67,9 +66,10 @@ namespace bluedbm {
 namespace kv {
 
 /**
- * Router / replication tuning. Ring points per node (64) and shard
- * log stripes (5) are constants in kv_router.cc: nothing varies
- * them.
+ * Router / replication tuning. Ring points per node (64), shard log
+ * stripes (5), the shard log's file name, read failover retries (1)
+ * and the cache's admission threshold (KvCache::admitHits) are
+ * constants: nothing varies them.
  */
 struct KvParams
 {
@@ -87,24 +87,8 @@ struct KvParams
     /** Ring segments reconciled per repair-sweep chunk before the
      * sweep yields to the event loop. */
     unsigned repairChunk = 64;
-    /**
-     * Microseconds between automatic anti-entropy sweeps (0 = off,
-     * the default: sweeps run only when repairSweep() is called).
-     * When set, the router schedules repairSweep() itself every
-     * interval (measured completion-to-start, so sweeps never
-     * overlap; an interval tick that finds a manual sweep running
-     * skips to the next interval). Note that an armed timer keeps
-     * the event queue non-empty forever: drive the simulation with
-     * runUntil(), not run().
-     */
-    std::uint64_t repairIntervalUs = 0;
-    /** Shard log file name (one per node's file system). */
-    std::string shardLog = "kv.shard.log";
     /** Hot-key cache slots per node (0 disables the cache). */
     unsigned cacheSlots = 128;
-    /** Sketch estimate required before a key may occupy a cache
-     * slot (1 admits on the first fill). */
-    unsigned cacheAdmitHits = 2;
     /**
      * Nodes initially in the hash ring (0 = every cluster node).
      * The remainder start Standby -- provisioned (shard, cache,
@@ -128,9 +112,6 @@ struct KvParams
      */
     ///@{
     std::uint64_t readTimeoutUs = 2000;
-    /** Failover retries per read (distinct replicas, each paying a
-     * fresh readTimeoutUs) before the read fails with Error. */
-    unsigned readRetries = 1;
     std::uint64_t writeTimeoutUs = 8000;
     /** Consecutive timeouts that turn a Live node Suspect. */
     unsigned suspectAfter = 3;
@@ -165,9 +146,9 @@ class KvRouter
     KvRouter(sim::Simulator &sim, core::Cluster &cluster,
              const KvParams &params = KvParams{});
 
-    /** Cancels every armed timer (periodic repair, per-request
-     * timeouts, membership grace periods); in-flight operations
-     * are dropped without completing -- safe mid-quorum-write. */
+    /** Cancels every armed timer (per-request timeouts, membership
+     * grace periods); in-flight operations are dropped without
+     * completing -- safe mid-quorum-write. */
     ~KvRouter();
 
     /** Replication factor in use. */
@@ -244,9 +225,9 @@ class KvRouter
      * (i.e. after rebuildNode readmits the missing replica).
      *
      * Sweeps never overlap: a call that lands while one is running
-     * (e.g. a manual sweep racing the periodic timer's) queues, and
-     * one fresh full pass serves every queued caller after the
-     * current sweep completes. Ring changes (joinNode/leaveNode)
+     * (another caller's sweep, or a rebuild's) queues, and one
+     * fresh full pass serves every queued caller after the current
+     * sweep completes. Ring changes (joinNode/leaveNode)
      * serialize with sweeps the same way.
      */
     void repairSweep(std::function<void()> done);
@@ -725,16 +706,12 @@ class KvRouter
     /**
      * Liveness flag captured by detached continuations (sweep
      * chunk yields, repair-push completions, network agents, op
-     * timers). The periodic timer can start sweeps nobody is
-     * awaiting, so teardown mid-sweep is reachable from correct
-     * caller code; the destructor flips this and a continuation
-     * firing afterwards returns without touching the dead router.
+     * timers). The router may be torn down with a sweep or a
+     * replica write still in flight; the destructor flips this and
+     * a continuation firing afterwards returns without touching the
+     * dead router.
      */
     std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-    /** Arm the next periodic sweep (KvParams::repairIntervalUs). */
-    void armRepairTimer();
-    /** Pending periodic-sweep event (invalidEventId = none). */
-    sim::EventId repairTimer_ = sim::invalidEventId;
 
     /** Live background-write count / high-water mark: both move
      * down (or are maxima), so they stay plain members exposed as

@@ -41,7 +41,7 @@ KvService::admit(ClientId client, const char *name, Key trace_key,
         // per window's worth of queued work, so a client a hundred
         // windows behind is told to stay away proportionally
         // longer than one that just grazed the cap.
-        c.retryAfterUs = c.params.retryBaseUs *
+        c.retryAfterUs = retryBaseUs *
             (1 + c.queue.size() / std::max(1u, c.params.window));
         // Completes on a fresh event like every other path: callers
         // may rely on done never firing re-entrantly.
@@ -139,9 +139,7 @@ KvService::put(ClientId client, Key key, PageBuffer value,
                 // than a queue blip, so well-behaved clients back
                 // off long enough for the cleaner to free space.
                 pressured_.inc();
-                Client &cl = clients_.at(client);
-                if (cl.params.pressureRetryUs > 0)
-                    cl.retryAfterUs = cl.params.pressureRetryUs;
+                clients_.at(client).retryAfterUs = pressureRetryUs;
                 st = KvStatus::Overloaded;
             }
             done(st);

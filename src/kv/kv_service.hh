@@ -62,24 +62,24 @@ class KvService
         /** Operations parked awaiting a window slot before the
          * service starts rejecting with Overloaded. */
         unsigned queueCap = 256;
-        /**
-         * Base of the retry-after hint handed out with Overloaded
-         * rejections: the hint is this many microseconds per
-         * window's worth of queued backlog (so it grows with how
-         * far behind the client actually is). 0 disables hinting.
-         */
-        std::uint64_t retryBaseUs = 20;
-        /**
-         * Retry-after hint attached when a put is shed at the
-         * flash capacity red line (KvStatus::Pressure, surfaced to
-         * the client as Overloaded). Sized to the time a cleaner
-         * pass needs to reclaim a block (erase + relocations) --
-         * much longer than an admission-queue blip, which is why
-         * it is a separate knob from retryBaseUs. 0 disables
-         * hinting.
-         */
-        std::uint64_t pressureRetryUs = 500;
     };
+
+    /**
+     * Base of the retry-after hint handed out with Overloaded
+     * rejections: the hint is this many microseconds per window's
+     * worth of queued backlog (so it grows with how far behind the
+     * client actually is).
+     */
+    static constexpr std::uint64_t retryBaseUs = 20;
+    /**
+     * Retry-after hint attached when a put is shed at the flash
+     * capacity red line (KvStatus::Pressure, surfaced to the client
+     * as Overloaded). Sized to the time a cleaner pass needs to
+     * reclaim a block (erase + relocations) -- much longer than an
+     * admission-queue blip, which is why it is separate from
+     * retryBaseUs.
+     */
+    static constexpr std::uint64_t pressureRetryUs = 500;
 
     KvService(sim::Simulator &sim, KvRouter &router)
         : sim_(sim), router_(router),
@@ -142,8 +142,8 @@ class KvService
 
     /**
      * Retry-after hint of the client's most recent Overloaded
-     * rejection, in simulated microseconds (0 = never rejected, or
-     * hinting disabled). Sized to the backlog at rejection time:
+     * rejection, in simulated microseconds (0 = never rejected).
+     * Sized to the backlog at rejection time:
      * a deeper queue hands out a longer hint. Well-behaved
      * closed-loop clients (WorkloadParams::honorRetryAfter) pause
      * for a jittered multiple of this instead of immediately

@@ -101,9 +101,9 @@ constexpr unsigned kvRequiredEndpoints = 10;
  *  - What clients observe per state. Reads never target Suspect,
  *    Dead or Joining replicas while a Live one exists (Suspect is
  *    the last resort before failing); a read that times out retries
- *    another readable replica (bounded by KvParams::readRetries),
- *    so a single crash costs affected reads one timeout + one
- *    retry, not an error. Writes still address Suspect replicas
+ *    another readable replica (one failover retry per read), so a
+ *    single crash costs affected reads one timeout + one retry,
+ *    not an error. Writes still address Suspect replicas
  *    (they may merely be slow) but skip Dead ones entirely: the
  *    write quorum W clamps to the live+suspect+joining owner count,
  *    the skipped replica's key is marked divergent immediately, and
@@ -151,11 +151,12 @@ constexpr unsigned kvRequiredEndpoints = 10;
  * Aged-flash contract (wear, corruption, capacity -- docs/aging.md
  * spells out the full ladder):
  *  - Bit errors climb with block wear. A page read whose SECDED
- *    decode fails is re-sensed by the flash server (bounded
- *    readRetries); a read that stays uncorrectable poisons the
- *    page in the file system and surfaces to the shard as a
- *    storage Error. The shard marks the key's index entry corrupt,
- *    and the router heals it from the other replica: on the read
+ *    decode fails is re-sensed by the flash server (bounded by
+ *    FlashServer::setReadRetries); a read that stays
+ *    uncorrectable poisons the page in the file system and
+ *    surfaces to the shard as a storage Error. The shard marks the
+ *    key's index entry corrupt, and the router heals it from the
+ *    other replica: on the read
  *    path (a fresh copy is fetched and re-put through the
  *    stamp-guarded repair path, then served) and in the
  *    anti-entropy sweep (corrupt entries are folded into the range
@@ -164,7 +165,7 @@ constexpr unsigned kvRequiredEndpoints = 10;
  *    (heal-then-retry), never garbage bytes served as Ok.
  *  - Pressure is a first-class status: when a shard's log device
  *    falls at or below its free-block red-line
- *    (fs::FsParams::pressureLowWater), puts and deletes return
+ *    (fs::LogFs::pressureLowWater), puts and deletes return
  *    Pressure instead of consuming the last reserve blocks the
  *    cleaner needs. KvService maps Pressure to an Overloaded
  *    rejection with the same retry-after hint as admission
@@ -181,8 +182,7 @@ constexpr unsigned kvRequiredEndpoints = 10;
  * (bounded by Timing::maxSuspendsPerOp) instead of waiting the
  * full array time behind it; this is what decouples the read tail
  * from write load. Maintenance traffic -- anti-entropy repair
- * pushes (KvRouter::repairSweep, manual or periodic via
- * KvParams::repairIntervalUs) and the file system's segment
+ * pushes (KvRouter::repairSweep) and the file system's segment
  * cleaning underneath -- rides Priority::Background: it never
  * suspends anything and is accounted separately at the array, so
  * repair can run during serving without stealing read latency or

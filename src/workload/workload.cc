@@ -23,8 +23,8 @@ WorkloadEngine::WorkloadEngine(sim::Simulator &sim,
     : sim_(sim), router_(router), service_(service), params_(params),
       clusterSize_(cluster.size())
 {
-    if (params_.mix.readFrac + params_.mix.scanFrac > 1.0)
-        sim::fatal("operation mix fractions exceed 1");
+    if (params_.mix.readFrac > 1.0)
+        sim::fatal("read fraction exceeds 1");
     if (params_.openLoop && !(params_.arrivalsPerSec > 0.0))
         sim::fatal("open-loop workload needs an arrival rate");
     if (params_.pipeline == 0)
@@ -243,25 +243,6 @@ WorkloadEngine::issueOne(std::size_t ci)
         });
         return;
     }
-    if (u < params_.mix.readFrac + params_.mix.scanFrac) {
-        std::vector<Key> keys(params_.mix.scanLen);
-        for (auto &k : keys)
-            k = nextKey(c);
-        service_.multiGet(c.id, std::move(keys),
-                          [this, ci, start](
-                              std::vector<PageBuffer>,
-                              std::vector<KvStatus> sts) {
-            bool accepted = true;
-            for (KvStatus st : sts) {
-                if (st == KvStatus::Overloaded)
-                    accepted = false;
-                else if (st == KvStatus::NotFound)
-                    ++notFound_;
-            }
-            opFinished(ci, start, scanLat_, accepted);
-        });
-        return;
-    }
     Key key = nextKey(c);
     service_.put(c.id, key, makeValue(key, params_.valueBytes),
                  [this, ci, start](KvStatus st) {
@@ -343,7 +324,6 @@ WorkloadEngine::runPhase(std::uint64_t ops, std::function<void()> done)
     ++phaseEpoch_; // park leftover backoff wakeups
     readLat_.reset();
     writeLat_.reset();
-    scanLat_.reset();
     allLat_.reset();
     completed_ = 0;
     rejected_ = 0;

@@ -4,7 +4,7 @@
  *
  * Drives the appliance the way a data-center evaluation does
  * (paper section 6, figure 17): a population of clients spread
- * across the rack's nodes, a YCSB-style read/write/scan mix over a
+ * across the rack's nodes, a YCSB-style read/write mix over a
  * uniform or Zipfian key distribution, and per-operation latency
  * recorded into HDR-style histograms so throughput can be reported
  * against p50/p95/p99/p99.9.
@@ -38,13 +38,11 @@ namespace workload {
 
 /**
  * Operation mix (fractions of all operations). The remainder after
- * reads and scans is single-key puts.
+ * reads is single-key puts.
  */
 struct MixParams
 {
     double readFrac = 0.95; //!< single-key gets
-    double scanFrac = 0.0;  //!< multi-gets of scanLen keys
-    unsigned scanLen = 8;   //!< keys per multi-get
 };
 
 /**
@@ -143,7 +141,6 @@ class WorkloadEngine
     ///@{
     const sim::LatencyHistogram &readLatency() const { return readLat_; }
     const sim::LatencyHistogram &writeLatency() const { return writeLat_; }
-    const sim::LatencyHistogram &scanLatency() const { return scanLat_; }
     /** All accepted operations regardless of type. */
     const sim::LatencyHistogram &allLatency() const { return allLat_; }
 
@@ -222,7 +219,6 @@ class WorkloadEngine
 
     sim::LatencyHistogram readLat_;
     sim::LatencyHistogram writeLat_;
-    sim::LatencyHistogram scanLat_;
     sim::LatencyHistogram allLat_;
 };
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "flash/flash_card.hh"
@@ -449,6 +450,56 @@ TEST(FlashServer, ReadFaultDropSwallowsResponse)
     f.sim.run();
     EXPECT_EQ(st, Status::Ok);
     EXPECT_EQ(f.server.injectedReadFaults(), 1u);
+}
+
+TEST(FlashServer, StreamReadDropsSkipPagesButKeepOrder)
+{
+    Fixture f;
+    const Geometry &g = f.card.geometry();
+    std::vector<Address> addrs;
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        addrs.push_back(Address::fromStriped(g, i));
+        f.server.writePage(0, addrs.back(),
+                           PageBuffer(g.pageSize, std::uint8_t(i + 1)),
+                           [](Status st) { EXPECT_EQ(st, Status::Ok); });
+    }
+    f.sim.run();
+    f.server.defineHandle(5, addrs);
+
+    // Drops hit a middle page and the last page of one stream: the
+    // sink hears every other page, in file order, and the stream
+    // still retires with its last page.
+    const Address middle = addrs[2], last = addrs[5];
+    f.server.setReadFault([&](const Address &a) {
+        FlashServer::ReadFaultAction act;
+        act.drop = a == middle || a == last;
+        return act;
+    });
+    std::vector<PageBuffer> pages;
+    auto sink = [&](PageBuffer data, Status st) {
+        EXPECT_EQ(st, Status::Ok);
+        pages.push_back(std::move(data));
+    };
+    f.server.streamRead(0, 5, 0, 6, sink);
+    f.sim.run();
+    EXPECT_EQ(f.server.injectedReadFaults(), 2u);
+    const std::size_t kept[] = {0, 1, 3, 4};
+    ASSERT_EQ(pages.size(), std::size(kept));
+    for (std::size_t i = 0; i < std::size(kept); ++i)
+        EXPECT_EQ(pages[i], PageBuffer(g.pageSize,
+                                       std::uint8_t(kept[i] + 1)))
+            << "delivery " << i;
+
+    // Disarmed, a second stream on the same interface delivers
+    // every page.
+    f.server.setReadFault(nullptr);
+    pages.clear();
+    f.server.streamRead(0, 5, 0, 6, sink);
+    f.sim.run();
+    ASSERT_EQ(pages.size(), addrs.size());
+    for (std::size_t i = 0; i < addrs.size(); ++i)
+        EXPECT_EQ(pages[i], PageBuffer(g.pageSize, std::uint8_t(i + 1)))
+            << "page " << i;
 }
 
 TEST(FlashServer, ReadFaultDelayShiftsCompletion)

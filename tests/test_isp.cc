@@ -128,7 +128,7 @@ struct SearchFixture
     FlashCard card{sim, geo, Timing::fast(), 128};
     flash::FlashSplitter::Port &port{card.splitter().addPort(64)};
     FlashServer server{sim, port, 4, 16};
-    fs::LogFs fs{sim, server, 0, card.nand().store()};
+    fs::LogFs fs{sim, server, 0, 1, card.nand().store()};
     StringSearchEngine engine{sim, server};
 
     SearchResult

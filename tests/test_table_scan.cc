@@ -43,7 +43,7 @@ struct Fixture
     FlashCard card{sim, geo, Timing::fast(), 128};
     flash::FlashSplitter::Port &port{card.splitter().addPort(64)};
     FlashServer server{sim, port, 4, 16};
-    fs::LogFs fs{sim, server, 0, card.nand().store()};
+    fs::LogFs fs{sim, server, 0, 1, card.nand().store()};
     TableScanEngine engine{sim, server};
     RecordSchema schema = testSchema();
     std::vector<std::vector<std::uint64_t>> table; //!< reference rows

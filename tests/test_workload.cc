@@ -234,40 +234,6 @@ TEST(WorkloadEngine, ClosedLoopCompletesAndRecords)
     EXPECT_LE(engine.allLatency().p999(), engine.allLatency().max());
 }
 
-TEST(WorkloadEngine, ScanMixIssuesMultiGets)
-{
-    sim::Simulator sim;
-    core::Cluster cluster(sim, kvCluster(4));
-    kv::KvRouter router(sim, cluster, kv::KvParams{});
-    kv::KvService service(sim, router);
-
-    WorkloadParams wp;
-    wp.keys = 200;
-    wp.valueBytes = 32;
-    wp.mix.readFrac = 0.5;
-    wp.mix.scanFrac = 0.3;
-    wp.mix.scanLen = 4;
-    wp.clientsPerNode = 2;
-    wp.totalOps = 600;
-    WorkloadEngine engine(sim, cluster, router, service, wp);
-
-    engine.preload([]() {});
-    sim.run();
-    bool finished = false;
-    engine.run([&]() { finished = true; });
-    sim.run();
-    ASSERT_TRUE(finished);
-    EXPECT_GT(engine.scanLatency().count(), 0u);
-    EXPECT_EQ(engine.readLatency().count() +
-                  engine.writeLatency().count() +
-                  engine.scanLatency().count(),
-              600u);
-    // A scan touches scanLen keys, so it should cost more than the
-    // median single read at equal load.
-    EXPECT_GE(engine.scanLatency().p50(),
-              engine.readLatency().p50());
-}
-
 TEST(WorkloadEngine, OpenLoopPoissonCompletes)
 {
     sim::Simulator sim;
