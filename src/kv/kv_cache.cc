@@ -80,13 +80,13 @@ KvCache::lookup(Key key)
 }
 
 void
-KvCache::fill(Key key, std::uint64_t version,
+KvCache::fill(Key key, std::uint64_t stamp,
               const flash::PageBuffer &value)
 {
     auto it = map_.find(key);
     if (it != map_.end()) {
         // Resident: refresh in place, no admission gate.
-        it->second->second.version = version;
+        it->second->second.stamp = stamp;
         it->second->second.value = value;
         lru_.splice(lru_.begin(), lru_, it->second);
         return;
@@ -101,7 +101,7 @@ KvCache::fill(Key key, std::uint64_t version,
         lru_.pop_back();
     }
     ++admitted_;
-    lru_.emplace_front(key, Entry{version, value});
+    lru_.emplace_front(key, Entry{stamp, value});
     map_[key] = lru_.begin();
 }
 

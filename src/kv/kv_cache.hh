@@ -1,20 +1,20 @@
 /**
  * @file
- * Per-node versioned hot-key read cache.
+ * Per-node stamped hot-key read cache.
  *
  * The serving bottleneck at high skew is one shard's flash
  * interface: the rank-0 Zipfian key turns a single LogFs command
  * queue into the whole cluster's tail (ROADMAP hot-shard item).
- * This cache keeps (value, shard-global version) pairs for the few
- * genuinely hot keys near the requester. It never serves a value
- * on its own authority: the router revalidates the cached version
- * with a header-only conditional get (KvRequest::cachedVersion),
- * and the owning shard answers a version match with an O(1) index
- * probe -- no flash read, no value bytes on the wire. A put or
- * delete anywhere bumps the shard-global version, so a stale cache
- * hit self-detects at the shard and the fresh value comes back
- * instead. Coherence therefore never depends on invalidation
- * messages reaching every cache.
+ * This cache keeps (value, write stamp) pairs for the few genuinely
+ * hot keys near the requester. It never serves a value on its own
+ * authority: the router revalidates the cached stamp with a
+ * header-only conditional get (KvRequest::stamp), and the owning
+ * shard answers a stamp match with an O(1) index probe -- no flash
+ * read, no value bytes on the wire. Every put or delete carries a
+ * fresh cluster-wide stamp, so a stale cache hit self-detects at
+ * the shard and the fresh value comes back instead. Coherence
+ * therefore never depends on invalidation messages reaching every
+ * cache.
  *
  * Admission is gated by a tiny frequency sketch (a 4-row count-min
  * sketch with periodic halving, TinyLFU-style): a value enters the
@@ -67,7 +67,7 @@ class FreqSketch
 };
 
 /**
- * Small LRU cache of (key, version, value), admission-gated by the
+ * Small LRU cache of (key, stamp, value), admission-gated by the
  * sketch. One instance per node; consulted by KvRouter::get before
  * any network hop to find a revalidation candidate.
  */
@@ -76,7 +76,7 @@ class KvCache
   public:
     struct Entry
     {
-        std::uint64_t version = 0;
+        std::uint64_t stamp = 0; //!< write stamp of value
         flash::PageBuffer value;
     };
 
@@ -90,11 +90,11 @@ class KvCache
     const Entry *lookup(Key key);
 
     /**
-     * Install (or refresh) @p key -> (@p version, @p value). New
+     * Install (or refresh) @p key -> (@p stamp, @p value). New
      * keys are admitted only when the sketch says they are hot;
      * an existing entry is always updated in place.
      */
-    void fill(Key key, std::uint64_t version,
+    void fill(Key key, std::uint64_t stamp,
               const flash::PageBuffer &value);
 
     /** Drop @p key (deleted, or known stale). */

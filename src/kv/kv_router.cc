@@ -790,14 +790,14 @@ KvRouter::get(NodeId origin, Key key, GetDone done,
     }
     std::uint64_t id = nextReqId_++;
     PendingOp &op = pending_[id];
-    // Hot-key cache: a cached (value, version) pair turns this into
-    // a conditional get. The replica confirms an unchanged version
+    // Hot-key cache: a cached (value, stamp) pair turns this into
+    // a conditional get. The replica confirms an unchanged stamp
     // with a header-only reply and the value is served locally.
     if (KvCache *cache = cacheFor(origin)) {
         if (!steered) {
             cache->touch(key);
             if (const KvCache::Entry *e = cache->lookup(key))
-                op.cachedVersion = e->version;
+                op.cachedStamp = e->stamp;
             else
                 sim_.tracer().mark(route, "cache.miss", sim_.now());
         }
@@ -824,7 +824,7 @@ KvRouter::sendGet(std::uint64_t id, PendingOp &op, NodeId to)
     req.reqId = id;
     req.key = op.key;
     req.op = KvOp::Get;
-    req.cachedVersion = op.cachedVersion;
+    req.stamp = op.cachedStamp;
     req.trace =
         sim_.tracer().beginSpan(op.routeSpan, "net.req", op.sentTick);
     cluster_.network()
@@ -845,30 +845,26 @@ KvRouter::healLocalGet(NodeId origin, NodeId from, Key key,
         route, "shard.heal_get", sim_.now());
     shards_[from]->get(
         key,
-        [this, origin, from, key, span, route,
+        [this, origin, key, span, route,
          done = std::move(done)](PageBuffer v, KvStatus st,
-                                 std::uint64_t) mutable {
+                                 std::uint64_t stamp) mutable {
         sim::Tick now = sim_.now();
         sim_.tracer().endSpan(span, now);
         if (st == KvStatus::Ok) {
-            // Push the surviving copy back under ITS stamp: the
-            // corrupt local entry admits the push even at an equal
-            // stamp (see KvShard::HashState), and the guard makes
-            // the heal idempotent against racing writes.
-            std::uint64_t stamp = 0;
-            bool live = false;
-            if (shards_[from]->keyState(key, &stamp, &live) &&
-                live) {
-                PageBuffer copy = v;
-                shards_[origin]->repairPut(
-                    key, std::move(copy), stamp,
-                    [this, alive = alive_](KvStatus rst) {
-                    if (!*alive)
-                        return;
-                    if (rst == KvStatus::Ok)
-                        repairedKeys_.inc();
-                });
-            }
+            // Push the surviving copy back under the stamp of the
+            // write it holds: the corrupt local entry admits the
+            // push even at an equal stamp (see KvShard::HashState),
+            // and the guard makes the heal idempotent against
+            // racing writes.
+            PageBuffer copy = v;
+            shards_[origin]->repairPut(
+                key, std::move(copy), stamp,
+                [this, alive = alive_](KvStatus rst) {
+                if (!*alive)
+                    return;
+                if (rst == KvStatus::Ok)
+                    repairedKeys_.inc();
+            });
         } else if (st == KvStatus::Error) {
             failedReads_.inc();
         }
@@ -1205,7 +1201,7 @@ KvRouter::installAgents()
                 return;
             sim_.tracer().endSpan(resp.trace, sim_.now());
             completeOne(resp.reqId, resp.status,
-                        std::move(resp.value), resp.version,
+                        std::move(resp.value), resp.stamp,
                         msg.src, false, resp.serviceTicks);
         });
     }
@@ -1234,12 +1230,12 @@ KvRouter::serveLocal(NodeId node, KvRequest req,
     auto respond = [this, id = req.reqId, start, span,
                     reply = std::move(reply)](
                        KvStatus st, PageBuffer value,
-                       std::uint64_t version) {
+                       std::uint64_t stamp) {
         sim::Tick now = sim_.now();
         KvResponse resp;
         resp.reqId = id;
         resp.status = st;
-        resp.version = version;
+        resp.stamp = stamp;
         resp.value = std::move(value);
         resp.serviceTicks = now - start;
         sim_.tracer().endSpan(span, now);
@@ -1249,10 +1245,10 @@ KvRouter::serveLocal(NodeId node, KvRequest req,
     switch (req.op) {
       case KvOp::Get:
         shards_[node]->getIfNewer(
-            req.key, req.cachedVersion,
+            req.key, req.stamp,
             [respond = std::move(respond)](PageBuffer v, KvStatus st,
-                                           std::uint64_t version) {
-            respond(st, std::move(v), version);
+                                           std::uint64_t stamp) {
+            respond(st, std::move(v), stamp);
         },
             flash::Priority::Read, span);
         return;
@@ -1307,7 +1303,7 @@ KvRouter::armOpTimer(std::uint64_t id, std::uint64_t us)
 
 void
 KvRouter::completeOne(std::uint64_t req_id, KvStatus st,
-                      PageBuffer value, std::uint64_t version,
+                      PageBuffer value, std::uint64_t stamp,
                       NodeId from, bool timed_out,
                       sim::Tick service_ticks)
 {
@@ -1369,15 +1365,14 @@ KvRouter::completeOne(std::uint64_t req_id, KvStatus st,
                 divergent_.insert(op.key);
             // Timeout or storage error: fail over to another
             // replica. The retry is unconditional and its result
-            // never fills the cache -- it answers from a different
-            // replica's version space (see get()).
+            // never fills the cache (see get()).
             NodeId next;
             if (op.attempts <= readRetries &&
                 pickRetryTarget(op.key, op.origin, op.sent,
                                 op.sentCount, &next)) {
                 retriedReads_.inc();
                 op.steered = true;
-                op.cachedVersion = 0;
+                op.cachedStamp = 0;
                 sendGet(req_id, op, next);
                 return;
             }
@@ -1390,7 +1385,7 @@ KvRouter::completeOne(std::uint64_t req_id, KvStatus st,
         PendingOp fin = std::move(op);
         pending_.erase(it);
         fin.status = st;
-        fin.version = version;
+        fin.stamp = stamp;
         fin.value = std::move(value);
         finishGet(std::move(fin));
         return;
@@ -1785,8 +1780,8 @@ KvRouter::finishGet(PendingOp fin)
 {
     sim::Tick now = sim_.now();
     KvCache *cache = cacheFor(fin.origin);
-    if (fin.status == KvStatus::Ok && fin.cachedVersion != 0 &&
-        fin.version == fin.cachedVersion) {
+    if (fin.status == KvStatus::Ok && fin.cachedStamp != 0 &&
+        fin.stamp == fin.cachedStamp) {
         // "Not modified": the replica confirmed our cached copy.
         if (cache) {
             if (const KvCache::Entry *e = cache->lookup(fin.key)) {
@@ -1806,7 +1801,7 @@ KvRouter::finishGet(PendingOp fin)
         return;
     }
     if (fin.status == KvStatus::Ok) {
-        if (fin.cachedVersion != 0) {
+        if (fin.cachedStamp != 0) {
             cacheStale_.inc(); // self-detected: fresh value came back
             sim_.tracer().mark(fin.routeSpan, "cache.stale", now);
         }
@@ -1815,7 +1810,7 @@ KvRouter::finishGet(PendingOp fin)
         // belong to an owner that no longer serves the key: never
         // let either into the cache (see get()).
         if (cache && !fin.steered && fin.epoch == ringEpoch_)
-            cache->fill(fin.key, fin.version, fin.value);
+            cache->fill(fin.key, fin.stamp, fin.value);
     } else if (fin.status == KvStatus::NotFound && cache) {
         cache->invalidate(fin.key);
     }

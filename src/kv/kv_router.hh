@@ -461,9 +461,11 @@ class KvRouter
         flash::PageBuffer value;     //!< get result
         Key key = 0;
         net::NodeId origin = 0;
-        std::uint64_t cachedVersion = 0; //!< conditional get in flight
-        std::uint64_t version = 0;       //!< version of the result
-        std::uint64_t stamp = 0;         //!< write stamp (0 for gets)
+        /** Gets: stamp of the cached copy sent for validation
+         * (0 = unconditional). */
+        std::uint64_t cachedStamp = 0;
+        /** Writes: the write's stamp; gets: the result's stamp. */
+        std::uint64_t stamp = 0;
         std::uint64_t epoch = 0;         //!< ring epoch at issue
         /** Caller's trace handle (parent of routeSpan; 0 =
          * untraced). Kept so a cache-miss re-issue can open a
@@ -592,7 +594,7 @@ class KvRouter
      * kv.stage.net / kv.stage.shard histograms); local completions
      * record their stages at the call site and pass 0. */
     void completeOne(std::uint64_t req_id, KvStatus st,
-                     flash::PageBuffer value, std::uint64_t version,
+                     flash::PageBuffer value, std::uint64_t stamp,
                      net::NodeId from, bool timed_out = false,
                      sim::Tick service_ticks = 0);
     /** Send get op @p id (@p op) to replica @p to: its first

@@ -261,7 +261,7 @@ KvShard::get(Key key, GetDone done, flash::Priority pri,
 }
 
 void
-KvShard::getIfNewer(Key key, std::uint64_t cached_version,
+KvShard::getIfNewer(Key key, std::uint64_t cached_stamp,
                     GetDone done, flash::Priority pri,
                     std::uint64_t trace)
 {
@@ -275,14 +275,15 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
         return;
     }
     std::uint64_t version = it->second.version;
-    if (cached_version != 0 && version == cached_version) {
-        // The requester's cached copy is current: an O(1) index
-        // probe is the whole cost -- no memtable copy, no flash
-        // read, no value bytes.
+    std::uint64_t stamp = it->second.stamp;
+    if (cached_stamp != 0 && stamp == cached_stamp) {
+        // The requester's cached copy holds the live write: an O(1)
+        // index probe is the whole cost -- no memtable copy, no
+        // flash read, no value bytes.
         validatedGets_.inc();
         sim_.tracer().mark(trace, "shard.validated", sim_.now());
-        defer([version, done = std::move(done)]() {
-            done(PageBuffer{}, KvStatus::Ok, version);
+        defer([stamp, done = std::move(done)]() {
+            done(PageBuffer{}, KvStatus::Ok, stamp);
         });
         return;
     }
@@ -291,14 +292,15 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
         memtableHits_.inc();
         sim_.tracer().mark(trace, "shard.memtable", sim_.now());
         PageBuffer value = mem->second; // copy: append still owns it
-        defer([version, value = std::move(value),
+        defer([stamp, value = std::move(value),
                done = std::move(done)]() mutable {
-            done(std::move(value), KvStatus::Ok, version);
+            done(std::move(value), KvStatus::Ok, stamp);
         });
         return;
     }
     // Read coalescing: duplicate gets of the same version join the
-    // in-flight flash read instead of issuing their own.
+    // in-flight flash read instead of issuing their own (one version
+    // is one write, so the group shares its stamp too).
     auto rit = reads_.find(version);
     if (rit != reads_.end()) {
         coalescedGets_.inc();
@@ -309,8 +311,8 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
     reads_[version].waiters.push_back(std::move(done));
     fs_.read(fileFor(key), it->second.valueOffset,
              it->second.valueLen,
-             [this, alive = alive_, key,
-              version](std::vector<std::uint8_t> data, bool ok) {
+             [this, alive = alive_, key, version,
+              stamp](std::vector<std::uint8_t> data, bool ok) {
         if (!*alive)
             return; // shard died mid-read; waiters died with it
         auto git = reads_.find(version);
@@ -331,8 +333,8 @@ KvShard::getIfNewer(Key key, std::uint64_t cached_version,
                 markCorrupt(key);
         }
         for (std::size_t i = 0; i + 1 < waiters.size(); ++i)
-            waiters[i](data, st, version); // copy for all but last
-        waiters.back()(std::move(data), st, version);
+            waiters[i](data, st, stamp); // copy for all but last
+        waiters.back()(std::move(data), st, stamp);
     },
              pri, trace);
 }
@@ -471,20 +473,6 @@ KvShard::repairDel(Key key, std::uint64_t stamp, AckDone done)
     // means the key was already absent): always a state change.
     repairsApplied_.inc();
     del(key, stamp, std::move(done));
-}
-
-bool
-KvShard::keyState(Key key, std::uint64_t *stamp, bool *live,
-                  bool *corrupt) const
-{
-    auto hit = byHash_.find(mix64(key));
-    if (hit == byHash_.end())
-        return false;
-    *stamp = hit->second.stamp;
-    *live = hit->second.live;
-    if (corrupt != nullptr)
-        *corrupt = hit->second.corrupt;
-    return true;
 }
 
 void

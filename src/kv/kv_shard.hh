@@ -22,17 +22,22 @@
  * returns the in-flight value (ordinary read-your-writes of a
  * write that subsequently fails).
  *
- * Hot-key reads: every get result carries the entry's shard-global
- * version, so requesters can cache (value, version) pairs and
- * revalidate with getIfNewer() -- a version match costs one O(1)
- * index probe, no flash read, no value bytes. Duplicate in-flight
- * gets on the same key coalesce onto one LogFs read.
+ * Write identity: every write carries a router-issued cluster-wide
+ * *stamp*, and the stamp is the only write identity that leaves the
+ * shard. Inside, the shard also numbers writes in arrival order
+ * (Entry::version): the version orders a key's in-flight appends
+ * against deletes, retires memtable entries and keys read
+ * coalescing, and is never compared across replicas.
  *
- * Anti-entropy support: shard versions are local counters and not
- * comparable across replicas, so every write additionally carries a
- * router-issued cluster-wide *stamp*. The shard keeps a hash-ordered
- * side index of (key, stamp, live/tombstone) -- mix64 is a bijection,
- * so one map entry per key -- from which it answers cheap per-range
+ * Hot-key reads: every get result carries the stamp of the write
+ * whose bytes it delivers, so requesters can cache (value, stamp)
+ * pairs and revalidate with getIfNewer() -- a stamp match costs one
+ * O(1) index probe, no flash read, no value bytes. Duplicate
+ * in-flight gets on the same key coalesce onto one LogFs read.
+ *
+ * Anti-entropy support: the shard keeps a hash-ordered side index
+ * of (key, stamp, live/tombstone) -- mix64 is a bijection, so one
+ * map entry per key -- from which it answers cheap per-range
  * digests (rangeDigest) and enumerations (rangeEntries). The repair
  * sweep compares digests between replicas and pushes the newer-
  * stamped side across with repairPut()/repairDel(), which apply only
@@ -70,12 +75,12 @@ class KvShard
   public:
     /**
      * Delivers a get result: the value (empty unless status is Ok),
-     * the status, and the entry's shard-global version (0 on a
-     * miss). A conditional get whose version matched delivers an
-     * empty value with the unchanged version ("not modified").
+     * the status, and the stamp of the write whose bytes these are
+     * (0 on a miss). A conditional get whose stamp matched delivers
+     * an empty value with the unchanged stamp ("not modified").
      */
     using GetDone = std::function<void(flash::PageBuffer, KvStatus,
-                                       std::uint64_t version)>;
+                                       std::uint64_t stamp)>;
     /** Acknowledges a put or delete. */
     using AckDone = std::function<void(KvStatus)>;
 
@@ -159,12 +164,12 @@ class KvShard
 
     /**
      * Conditional fetch: like get(), but when the live entry's
-     * version equals @p cached_version (and it is non-zero) the
-     * shard skips the flash read entirely and delivers an empty
-     * value with the unchanged version -- the requester's cached
-     * copy is current. 0 means unconditional.
+     * stamp equals @p cached_stamp (and it is non-zero) the shard
+     * skips the flash read entirely and delivers an empty value
+     * with the unchanged stamp -- the requester's cached copy holds
+     * the same write. 0 means unconditional.
      */
-    void getIfNewer(Key key, std::uint64_t cached_version,
+    void getIfNewer(Key key, std::uint64_t cached_stamp,
                     GetDone done,
                     flash::Priority pri = flash::Priority::Read,
                     std::uint64_t trace = 0);
@@ -241,16 +246,6 @@ class KvShard
     /** Live keys + retained tombstones in the repair index. */
     std::size_t repairIndexSize() const { return byHash_.size(); }
 
-    /**
-     * Repair-index state of @p key (stamp, liveness, corruption);
-     * false when the shard has never seen it. The router's
-     * read-path heal uses the healthy replica's stamp here so its
-     * push into the corrupt replica is correctly stamp-guarded.
-     */
-    [[nodiscard]] bool keyState(Key key, std::uint64_t *stamp,
-                                bool *live,
-                                bool *corrupt = nullptr) const;
-
     ///@}
 
     /** Whether a live version of @p key exists. */
@@ -302,11 +297,12 @@ class KvShard
     {
         std::uint64_t valueOffset = 0; //!< byte offset in the log
         std::uint32_t valueLen = 0;
-        /** Shard-global monotonic version; gates memtable
-         * retirement and read-cache validation (0 = freshly
+        /** Shard-private arrival-order version; gates memtable
+         * retirement and keys read coalescing (0 = freshly
          * default-constructed). */
         std::uint64_t version = 0;
-        /** Cluster-wide write stamp (anti-entropy ordering). */
+        /** Cluster-wide write stamp: the identity of the write
+         * (cache validation, anti-entropy ordering). */
         std::uint64_t stamp = 0;
     };
 

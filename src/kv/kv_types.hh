@@ -157,8 +157,9 @@ constexpr unsigned kvRequiredEndpoints = 10;
  *    surfaces to the shard as a storage Error. The shard marks the
  *    key's index entry corrupt, and the router heals it from the
  *    other replica: on the read
- *    path (a fresh copy is fetched and re-put through the
- *    stamp-guarded repair path, then served) and in the
+ *    path (a fresh copy is fetched, re-put under the stamp that
+ *    read returned through the stamp-guarded repair path, and
+ *    served) and in the
  *    anti-entropy sweep (corrupt entries are folded into the range
  *    digests, so divergence drains to zero even when both sides
  *    hold the same stamp). Clients observe at most one slow read
@@ -232,21 +233,16 @@ struct KvRequest
     std::uint64_t reqId = 0;
     Key key = 0;
     /**
-     * Conditional get: the shard-global version of the requester's
-     * cached copy (0 = none). When the owner's live version still
-     * matches, it replies with an empty, header-only response
-     * instead of reading flash and shipping the value -- the cache
-     * invalidation ride-along that keeps hot-key caching coherent
-     * (a stale cached version simply fails the comparison and the
-     * fresh value comes back).
-     */
-    std::uint64_t cachedVersion = 0;
-    /**
-     * Router-issued write stamp (puts/deletes): one cluster-wide
-     * monotonic counter orders all writes of a key, so replicas --
-     * whose internal shard versions are not comparable -- can agree
-     * which side of a divergence is newer during anti-entropy
-     * repair. 0 on gets.
+     * Write identity. Puts and deletes carry the router-issued write
+     * stamp: one cluster-wide monotonic counter names every write, so
+     * replicas agree which side of a divergence is newer during
+     * anti-entropy repair. A get carries the stamp of the requester's
+     * cached copy (0 = none, an unconditional get): when the owner's
+     * live entry holds that same write, it replies with an empty,
+     * header-only response instead of reading flash and shipping the
+     * value -- the ride-along that keeps hot-key caching coherent (a
+     * stale cached stamp simply fails the comparison and the fresh
+     * value comes back).
      */
     std::uint64_t stamp = 0;
     KvOp op = KvOp::Get;
@@ -272,12 +268,11 @@ struct KvResponse
 {
     std::uint64_t reqId = 0;
     /**
-     * Shard-global version of the key's live entry at the serving
-     * shard (0 for misses). A get result equal to the request's
-     * cachedVersion means "not modified": the value is empty and
-     * the requester serves its cached copy.
+     * Stamp of the write whose bytes a get delivers (0 for misses).
+     * A result equal to the request's stamp means "not modified":
+     * the value is empty and the requester serves its cached copy.
      */
-    std::uint64_t version = 0;
+    std::uint64_t stamp = 0;
     /**
      * Ticks the serving node spent on this op (receipt of the
      * request to the response send). The origin subtracts this from

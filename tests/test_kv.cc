@@ -674,55 +674,62 @@ TEST(KvShard, CoalescesConcurrentFlashReads)
     EXPECT_EQ(shard.coalescedGets(), 5u);
 }
 
-TEST(KvShard, ConditionalGetValidatesVersion)
+TEST(KvShard, ConditionalGetValidatesStamp)
 {
+    // A stamp names one write on every replica: a copy read from one
+    // shard validates at another shard that applied the same write.
     sim::Simulator sim;
     core::Cluster cluster(sim, kvCluster(2));
-    kv::KvShard shard(sim, cluster.node(0).fs(), "t");
+    kv::KvShard a(sim, cluster.node(0).fs(), "t");
+    kv::KvShard b(sim, cluster.node(1).fs(), "t");
 
-    shard.put(9, val(0x99), [](KvStatus) {});
+    a.put(9, val(0x99), 7, [](KvStatus) {});
+    b.put(9, val(0x99), 7, [](KvStatus) {});
     sim.run();
 
-    std::uint64_t version = 0;
-    shard.get(9, [&](PageBuffer, KvStatus, std::uint64_t ver) {
-        version = ver;
-    });
-    sim.run();
-    ASSERT_NE(version, 0u);
-
-    // Matching version: "not modified", no value bytes.
-    PageBuffer got = val(0x01);
+    PageBuffer got;
     KvStatus st = KvStatus::Error;
-    std::uint64_t ver2 = 0;
-    shard.getIfNewer(9, version,
-                     [&](PageBuffer v, KvStatus s,
-                         std::uint64_t ver) {
+    std::uint64_t stamp = 0;
+    auto capture = [&](PageBuffer v, KvStatus s, std::uint64_t sp) {
         got = std::move(v);
         st = s;
-        ver2 = ver;
-    });
+        stamp = sp;
+    };
+    a.get(9, capture);
+    sim.run();
+    EXPECT_EQ(got, val(0x99));
+    ASSERT_EQ(stamp, 7u);
+
+    // Count page senses on b's flash: a validated get reads none.
+    unsigned senses = 0;
+    for (unsigned card = 0; card < 2; ++card)
+        cluster.node(1).hostServer(card).setReadFault(
+            [&senses](const flash::Address &) {
+            ++senses;
+            return flash::FlashServer::ReadFaultAction{};
+        });
+
+    // Matching stamp: "not modified", no value bytes, no flash read.
+    got = val(0x01);
+    b.getIfNewer(9, stamp, capture);
     sim.run();
     EXPECT_EQ(st, KvStatus::Ok);
     EXPECT_TRUE(got.empty());
-    EXPECT_EQ(ver2, version);
-    EXPECT_EQ(shard.validatedGets(), 1u);
+    EXPECT_EQ(stamp, 7u);
+    EXPECT_EQ(b.validatedGets(), 1u);
+    EXPECT_EQ(senses, 0u);
 
-    // After an overwrite the same conditional get returns the fresh
-    // value and its new version.
-    shard.put(9, val(0x9a), [](KvStatus) {});
+    // After a newer write the same conditional get returns the
+    // fresh value and its stamp.
+    b.put(9, val(0x9a), 9, [](KvStatus) {});
     sim.run();
-    shard.getIfNewer(9, version,
-                     [&](PageBuffer v, KvStatus s,
-                         std::uint64_t ver) {
-        got = std::move(v);
-        st = s;
-        ver2 = ver;
-    });
+    b.getIfNewer(9, 7, capture);
     sim.run();
     EXPECT_EQ(st, KvStatus::Ok);
     EXPECT_EQ(got, val(0x9a));
-    EXPECT_GT(ver2, version);
-    EXPECT_EQ(shard.validatedGets(), 1u);
+    EXPECT_EQ(stamp, 9u);
+    EXPECT_EQ(b.validatedGets(), 1u);
+    EXPECT_GT(senses, 0u);
 }
 
 // ---------------------------------------------------------------- //
