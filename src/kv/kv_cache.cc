@@ -116,22 +116,5 @@ KvCache::invalidate(Key key)
     map_.erase(it);
 }
 
-std::size_t
-KvCache::invalidateIf(const std::function<bool(Key)> &pred)
-{
-    std::size_t dropped = 0;
-    for (auto it = lru_.begin(); it != lru_.end();) {
-        if (pred(it->first)) {
-            ++invalidations_;
-            ++dropped;
-            map_.erase(it->first);
-            it = lru_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    return dropped;
-}
-
 } // namespace kv
 } // namespace bluedbm

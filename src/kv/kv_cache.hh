@@ -14,7 +14,9 @@
  * fresh cluster-wide stamp, so a stale cache hit self-detects at
  * the shard and the fresh value comes back instead. Coherence
  * therefore never depends on invalidation messages reaching every
- * cache.
+ * cache. A stamp names the same write on every replica, so the
+ * check holds at whichever replica answers: failover, read
+ * steering and ring flips need no special case.
  *
  * Admission is gated by a tiny frequency sketch (a 4-row count-min
  * sketch with periodic halving, TinyLFU-style): a value enters the
@@ -26,7 +28,6 @@
 #define BLUEDBM_KV_KV_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <unordered_map>
 #include <utility>
@@ -99,16 +100,6 @@ class KvCache
 
     /** Drop @p key (deleted, or known stale). */
     void invalidate(Key key);
-
-    /**
-     * Drop every cached key @p pred claims; returns how many went.
-     * The membership layer uses this at a ring flip to purge keys
-     * whose owner set changed: a cached version from the old
-     * owner's counter space must never validate against the new
-     * owner's. A full scan -- the cache is a few hundred slots and
-     * ring flips are rare.
-     */
-    std::size_t invalidateIf(const std::function<bool(Key)> &pred);
 
     std::size_t size() const { return map_.size(); }
 

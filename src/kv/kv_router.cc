@@ -559,7 +559,7 @@ KvRouter::finishRebalance()
     // Phase 2, the flip: atomic within the event -- every operation
     // issued after this line routes on the new ring.
     std::unique_ptr<Rebalance> rb = std::move(rebalance_);
-    Ring old_ring = std::exchange(ring_, std::move(rb->newRing));
+    ring_ = std::move(rb->newRing);
     ++ringEpoch_;
     Member &m = members_[rb->node];
     if (rb->joining) {
@@ -567,24 +567,6 @@ KvRouter::finishRebalance()
         m.consecTimeouts = 0;
     } else {
         m.state = MemberState::Standby;
-    }
-    // Purge every cached key whose owner set changed: a cached
-    // version lives in ONE shard's counter space, and the arc that
-    // moved now validates against a different shard. In-flight
-    // conditional gets from before the flip are handled by the
-    // epoch gate in finishGet.
-    for (auto &c : caches_) {
-        if (!c)
-            continue;
-        c->invalidateIf([this, &old_ring](Key k) {
-            NodeId a[maxReplication], b[maxReplication];
-            std::uint64_t h = mix64(k);
-            unsigned na = ownersForHash(old_ring, h, a,
-                                        params_.replication);
-            unsigned nb =
-                ownersForHash(ring_, h, b, params_.replication);
-            return !std::equal(a, a + na, b, b + nb);
-        });
     }
 }
 
@@ -596,15 +578,13 @@ NodeId
 KvRouter::readReplica(NodeId origin, Key key) const
 {
     NodeId target;
-    bool steered = false;
     // With no readable owner, target is the plain pick.
-    (void)routeRead(origin, key, &target, &steered);
+    (void)routeRead(origin, key, &target);
     return target;
 }
 
 bool
-KvRouter::routeRead(NodeId origin, Key key, NodeId *out,
-                    bool *steered) const
+KvRouter::routeRead(NodeId origin, Key key, NodeId *out) const
 {
     // Allocation-free: gets are the 95% case and run once per op.
     // One ring walk serves every step below.
@@ -612,7 +592,6 @@ KvRouter::routeRead(NodeId origin, Key key, NodeId *out,
     unsigned count = ownersInto(key, own, params_.replication);
     NodeId plain = plainRead(origin, own, count);
     NodeId steer;
-    *steered = false;
     if (steerTarget(origin, key, &steer) &&
         members_[steer].state != MemberState::Dead) {
         *out = steer;
@@ -626,7 +605,6 @@ KvRouter::routeRead(NodeId origin, Key key, NodeId *out,
         *out = plain;
         return false;
     }
-    *steered = *out != plain;
     return true;
 }
 
@@ -731,15 +709,9 @@ KvRouter::get(NodeId origin, Key key, GetDone done,
     std::uint64_t route =
         sim_.tracer().beginSpan(trace, "route", sim_.now());
     // Routing, in priority order: the read-your-writes steer, then
-    // the liveness-aware deterministic spread. A read that ends up
-    // anywhere but the PLAIN deterministic replica (steered,
-    // failed over, or later retried) must go out unconditional and
-    // must not fill the cache -- shard versions are per-shard
-    // counters, and a cached version from replica A coincidentally
-    // matching replica B's counter would confirm a stale value.
+    // the liveness-aware deterministic spread.
     NodeId replica;
-    bool steered = false;
-    if (!routeRead(origin, key, &replica, &steered)) {
+    if (!routeRead(origin, key, &replica)) {
         // Every owner is Dead or Joining: nothing can serve this
         // read. Fail asynchronously -- callers expect it.
         failedReads_.inc();
@@ -791,22 +763,20 @@ KvRouter::get(NodeId origin, Key key, GetDone done,
     std::uint64_t id = nextReqId_++;
     PendingOp &op = pending_[id];
     // Hot-key cache: a cached (value, stamp) pair turns this into
-    // a conditional get. The replica confirms an unchanged stamp
-    // with a header-only reply and the value is served locally.
+    // a conditional get. Whichever replica answers -- the plain
+    // pick, a steered or failed-over one -- confirms an unchanged
+    // stamp with a header-only reply, and the value is served
+    // locally: one stamp names one write on every replica.
     if (KvCache *cache = cacheFor(origin)) {
-        if (!steered) {
-            cache->touch(key);
-            if (const KvCache::Entry *e = cache->lookup(key))
-                op.cachedStamp = e->stamp;
-            else
-                sim_.tracer().mark(route, "cache.miss", sim_.now());
-        }
+        cache->touch(key);
+        if (const KvCache::Entry *e = cache->lookup(key))
+            op.cachedStamp = e->stamp;
+        else
+            sim_.tracer().mark(route, "cache.miss", sim_.now());
     }
     op.getDone = std::move(done);
     op.key = key;
     op.origin = origin;
-    op.steered = steered;
-    op.epoch = ringEpoch_;
     op.trace = trace;
     op.routeSpan = route;
     sendGet(id, op, replica);
@@ -974,7 +944,6 @@ KvRouter::issueWrite(NodeId origin, Key key, KvOp kvop,
         op.key = key;
         op.origin = origin;
         op.stamp = stamp;
-        op.epoch = ringEpoch_;
         op.trace = trace;
         op.routeSpan = route;
         op.sentTick = sim_.now();
@@ -1364,15 +1333,12 @@ KvRouter::completeOne(std::uint64_t req_id, KvStatus st,
             if (!timed_out)
                 divergent_.insert(op.key);
             // Timeout or storage error: fail over to another
-            // replica. The retry is unconditional and its result
-            // never fills the cache (see get()).
+            // replica, still conditional on the cached stamp.
             NodeId next;
             if (op.attempts <= readRetries &&
                 pickRetryTarget(op.key, op.origin, op.sent,
                                 op.sentCount, &next)) {
                 retriedReads_.inc();
-                op.steered = true;
-                op.cachedStamp = 0;
                 sendGet(req_id, op, next);
                 return;
             }
@@ -1805,11 +1771,7 @@ KvRouter::finishGet(PendingOp fin)
             cacheStale_.inc(); // self-detected: fresh value came back
             sim_.tracer().mark(fin.routeSpan, "cache.stale", now);
         }
-        // Steered / failed-over results carry another replica's
-        // version space, and results from before a ring flip may
-        // belong to an owner that no longer serves the key: never
-        // let either into the cache (see get()).
-        if (cache && !fin.steered && fin.epoch == ringEpoch_)
+        if (cache)
             cache->fill(fin.key, fin.stamp, fin.value);
     } else if (fin.status == KvStatus::NotFound && cache) {
         cache->invalidate(fin.key);

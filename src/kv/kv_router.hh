@@ -37,12 +37,13 @@
  *
  * Hot-key read path: before a remote get leaves the origin node,
  * the router consults that node's KvCache. On a cached (value,
- * version) pair the get goes out conditional -- the owning shard
- * answers a version match with a header-only "not modified" and
- * the cached value is served locally, skipping the flash read AND
- * the value bytes on the wire. See kv_cache.hh for the coherence
- * argument; failover and rebalancing never fill the cache across
- * replicas (shard version counters are not comparable).
+ * stamp) pair the get goes out conditional -- the replica answers
+ * a stamp match with a header-only "not modified" and the cached
+ * value is served locally, skipping the flash read AND the value
+ * bytes on the wire. See kv_cache.hh for the coherence argument. A
+ * stamp names one write on every replica, so steered reads,
+ * failover retries and reads after a ring flip validate and fill
+ * the cache like any other remote get.
  */
 
 #ifndef BLUEDBM_KV_KV_ROUTER_HH
@@ -287,7 +288,7 @@ class KvRouter
      * (union of current and next owners; next-only owners excluded
      * from the quorum) plus a Background catch-up sweep copying
      * @p n's future key ranges onto it, then an atomic ring flip --
-     * epoch bump, stale cache purge, @p n Live. @p done fires after
+     * epoch bump, @p n Live. @p done fires after
      * the flip. Serving continues throughout; reads address the old
      * owners until the flip.
      */
@@ -302,9 +303,7 @@ class KvRouter
      */
     void leaveNode(net::NodeId n, std::function<void()> done);
 
-    /** Bumped at every ring flip. In-flight operations carry the
-     * epoch they were issued under; results from a previous epoch
-     * never fill the hot-key cache. */
+    /** Ring flips so far. */
     std::uint64_t ringEpoch() const { return ringEpoch_; }
 
     ///@}
@@ -326,10 +325,10 @@ class KvRouter
     /** Shard requests that crossed the network. */
     std::uint64_t remoteOps() const { return remoteOps_.value(); }
     /** Remote gets served from the origin's cache after a
-     * header-only version validation (no flash read, no value
+     * header-only stamp validation (no flash read, no value
      * bytes on the wire). */
     std::uint64_t cacheServedGets() const { return cacheServed_.value(); }
-    /** Conditional gets whose cached version had gone stale (the
+    /** Conditional gets whose cached stamp had gone stale (the
      * fresh value came back instead -- the self-detect path). */
     std::uint64_t cacheStaleGets() const { return cacheStale_.value(); }
     /** Keys CURRENTLY divergent: a write applied on some replicas
@@ -449,11 +448,6 @@ class KvRouter
         std::uint8_t ackedMask = 0;  //!< owner-index bits that acked Ok
         bool write = false;          //!< put/delete (vs get)
         bool clientAcked = false;    //!< client callback already fired
-        /** Get routed off the deterministic replica (by the ledger,
-         * a liveness failover, or a retry): its version is from
-         * another replica's counter space, so it was sent
-         * unconditional and must not fill the cache. */
-        bool steered = false;
         KvStatus status = KvStatus::Ok;
         GetDone getDone;             //!< set for gets
         AckDone ackDone;             //!< set for puts/deletes
@@ -466,7 +460,6 @@ class KvRouter
         std::uint64_t cachedStamp = 0;
         /** Writes: the write's stamp; gets: the result's stamp. */
         std::uint64_t stamp = 0;
-        std::uint64_t epoch = 0;         //!< ring epoch at issue
         /** Caller's trace handle (parent of routeSpan; 0 =
          * untraced). Kept so a cache-miss re-issue can open a
          * fresh route span at the right level. */
@@ -544,9 +537,7 @@ class KvRouter
 
     /** The plain deterministic read choice among @p own: the
      * origin when it holds a replica, else the origin-keyed spread.
-     * Liveness-blind, so the conditional-get/cache-fill gate (only
-     * plain-routed results may touch the cache) stays stable across
-     * membership churn. */
+     * Liveness-blind; routeRead() fails over from it. */
     static net::NodeId plainRead(net::NodeId origin,
                                  const net::NodeId *own,
                                  unsigned count);
@@ -557,11 +548,9 @@ class KvRouter
                      net::NodeId *out) const;
     /** Read routing, in priority order: the ledger steer, the plain
      * pick while it is local or Live, then failover(). False (with
-     * *out the plain pick) when no owner is readable. *steered
-     * reports a pick other than the plain one (cache gate). */
+     * *out the plain pick) when no owner is readable. */
     [[nodiscard]] bool routeRead(net::NodeId origin, Key key,
-                                 net::NodeId *out,
-                                 bool *steered) const;
+                                 net::NodeId *out) const;
     /** Failover scan of @p own from index @p start: a Live owner
      * first, a Suspect one as last resort, never @p origin (local
      * ops have no timeout machinery) nor a node in @p tried (the
@@ -646,8 +635,7 @@ class KvRouter
      * the catch-up traversal. */
     void beginRebalance(net::NodeId n, bool joining,
                         std::function<void()> done);
-    /** Phase 2: flip the ring, purge stale cache entries, settle
-     * the member's state. */
+    /** Phase 2: flip the ring and settle the member's state. */
     void finishRebalance();
     /** Hand the sweep/handoff lock to whoever queued for it. */
     void releaseExclusive();
@@ -687,7 +675,7 @@ class KvRouter
     std::vector<std::unique_ptr<KvShard>> shards_;
     std::vector<std::unique_ptr<KvCache>> caches_;
     std::vector<Member> members_;
-    /** Bumped at each ring flip (see ringEpoch()). */
+    /** Ring flips so far (see ringEpoch()). */
     std::uint64_t ringEpoch_ = 0;
     /** In-flight join/leave handoff (dual-write phase). */
     std::unique_ptr<Rebalance> rebalance_;

@@ -130,10 +130,10 @@ constexpr unsigned kvRequiredEndpoints = 10;
  *    next-only owners excluded from the quorum -- while a
  *    Background catch-up sweep walks the union ring's segments and
  *    pushes each key's newest-stamped state to its next owners.
- *    Phase 2 flips the ring atomically (ring epoch bumps), drops
- *    every cached entry whose owner set changed (a version from the
- *    old owner's counter space must not validate against the new
- *    owner), and the node becomes Live (join) or Standby (leave).
+ *    Phase 2 flips the ring atomically (ring epoch bumps) and the
+ *    node becomes Live (join) or Standby (leave). Hot-key caches
+ *    keep their entries across the flip: a cached stamp names the
+ *    same write at the new owner, whose catch-up copied it.
  *    In-flight operations drain against the owner set they were
  *    issued with; reads keep hitting the old owners -- who keep
  *    their data -- until the flip, so serving continues throughout.

@@ -1420,6 +1420,52 @@ TEST(KvRouter, ReadFailsOverAfterNodeKill)
     EXPECT_EQ(router.readTimeouts(), timeouts);
 }
 
+TEST(KvRouter, FailoverRetryValidatesCachedStamp)
+{
+    // A cached stamp names one write on every replica, so a read
+    // that fails over to another owner stays conditional: the
+    // surviving replica validates it and the cached value serves.
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(4));
+    kv::KvParams kp = memberParams(1);
+    kp.cacheSlots = 64;
+    kv::KvRouter router(sim, cluster, kp);
+
+    Key key = 0;
+    while (router.owners(key)[0] == 0 || router.owners(key)[1] == 0)
+        ++key;
+    auto own = router.owners(key);
+    net::NodeId plain = router.readReplica(0, key);
+    net::NodeId other = plain == own[0] ? own[1] : own[0];
+    router.put(1, key, val(0x3c), [](KvStatus) {});
+    sim.run();
+
+    // Warm node 0's cache: admitted at the second get, served from
+    // it at the third.
+    for (int i = 0; i < 3; ++i) {
+        router.get(0, key, [](PageBuffer, KvStatus) {});
+        sim.run();
+    }
+    std::uint64_t served = router.cacheServedGets();
+    ASSERT_EQ(served, 1u);
+    std::uint64_t validated = router.shard(other).validatedGets();
+
+    router.killNode(plain);
+    PageBuffer got;
+    KvStatus st = KvStatus::Error;
+    router.get(0, key, [&](PageBuffer v, KvStatus s) {
+        got = std::move(v);
+        st = s;
+    });
+    sim.run();
+    EXPECT_EQ(st, KvStatus::Ok);
+    EXPECT_EQ(got, val(0x3c));
+    EXPECT_EQ(router.readTimeouts(), 1u);
+    EXPECT_EQ(router.retriedReads(), 1u);
+    EXPECT_EQ(router.shard(other).validatedGets(), validated + 1);
+    EXPECT_EQ(router.cacheServedGets(), served + 1);
+}
+
 TEST(KvRouter, KillRebuildDrainsDivergence)
 {
     sim::Simulator sim;
@@ -1667,6 +1713,70 @@ TEST(KvRouter, JoinExpandsRingAndServes)
         }
     }
     EXPECT_EQ(router.divergentWrites(), 0u);
+}
+
+TEST(KvRouter, CachedEntryValidatesAcrossRingFlip)
+{
+    // A ring flip hands a key to a new owner that the catch-up
+    // filled under the same stamps, so a copy cached before the
+    // flip still validates there -- and a later write still
+    // self-detects.
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(4));
+    kv::KvParams kp = cachedParams();
+    kp.activeNodes = 3; // node 3 built but outside the ring
+    kv::KvRouter router(sim, cluster, kp);
+
+    // The ring after node 3 joins is the ring of all four nodes.
+    sim::Simulator sim4;
+    core::Cluster cluster4(sim4, kvCluster(4));
+    kv::KvRouter ring4(sim4, cluster4, cachedParams());
+
+    // A key origin 0 reads remotely on both rings, whose reads move
+    // to node 3 at the flip.
+    Key key = 0;
+    while (router.readReplica(0, key) == 0 ||
+           ring4.readReplica(0, key) != 3)
+        ++key;
+    router.put(1, key, val(0x5e), [](KvStatus) {});
+    sim.run();
+    for (int i = 0; i < 3; ++i) {
+        router.get(0, key, [](PageBuffer, KvStatus) {});
+        sim.run();
+    }
+    std::uint64_t served = router.cacheServedGets();
+    ASSERT_EQ(served, 1u);
+
+    bool joined = false;
+    router.joinNode(net::NodeId(3), [&]() { joined = true; });
+    sim.run();
+    ASSERT_TRUE(joined);
+    ASSERT_EQ(router.readReplica(0, key), net::NodeId(3));
+
+    PageBuffer got;
+    KvStatus st = KvStatus::Error;
+    auto read = [&]() {
+        got.clear();
+        st = KvStatus::Error;
+        router.get(0, key, [&](PageBuffer v, KvStatus s) {
+            got = std::move(v);
+            st = s;
+        });
+        sim.run();
+    };
+    read();
+    EXPECT_EQ(st, KvStatus::Ok);
+    EXPECT_EQ(got, val(0x5e));
+    EXPECT_EQ(router.cacheServedGets(), served + 1);
+    EXPECT_EQ(router.shard(net::NodeId(3)).validatedGets(), 1u);
+
+    router.put(1, key, val(0x5f), [](KvStatus) {});
+    sim.run();
+    std::uint64_t stale = router.cacheStaleGets();
+    read();
+    EXPECT_EQ(st, KvStatus::Ok);
+    EXPECT_EQ(got, val(0x5f));
+    EXPECT_EQ(router.cacheStaleGets(), stale + 1);
 }
 
 TEST(KvRouter, LeaveDrainsNodeAndServes)
