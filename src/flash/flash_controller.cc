@@ -50,7 +50,6 @@ FlashController::sendCommand(const Command &cmd)
 
       case Op::WritePage:
         tagState_[tag] = TagState::AwaitWriteData;
-        ++writesIssued_;
         // The scheduler asks for the payload as soon as the command is
         // registered; with bounded tags this bounds buffering exactly
         // like the hardware's write-data request queue.
@@ -62,7 +61,6 @@ FlashController::sendCommand(const Command &cmd)
 
       case Op::EraseBlock:
         tagState_[tag] = TagState::EraseInFlight;
-        ++erasesIssued_;
         nand_.erase(cmd.addr, [this, tag](Status st) {
             tagState_[tag] = TagState::Free;
             client_->eraseDone(tag, st);

@@ -69,8 +69,6 @@ class FlashController
     /** @name Statistics */
     ///@{
     std::uint64_t readsIssued() const { return readsIssued_; }
-    std::uint64_t writesIssued() const { return writesIssued_; }
-    std::uint64_t erasesIssued() const { return erasesIssued_; }
     ///@}
 
   private:
@@ -98,8 +96,6 @@ class FlashController
     std::vector<std::uint64_t> tagTrace_;
 
     std::uint64_t readsIssued_ = 0;
-    std::uint64_t writesIssued_ = 0;
-    std::uint64_t erasesIssued_ = 0;
 };
 
 } // namespace flash

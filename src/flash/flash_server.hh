@@ -71,9 +71,6 @@ class FlashServer : public Client
     /** Number of in-order interfaces. */
     unsigned interfaces() const { return unsigned(ifcs_.size()); }
 
-    /** Per-interface command queue depth. */
-    unsigned queueDepth() const { return depth_; }
-
     /**
      * @name Address Translation Unit
      * The host file system pushes the physical locations of a file
@@ -171,9 +168,6 @@ class FlashServer : public Client
 
     /** Writes that were flushed in a batch of two or more. */
     std::uint64_t batchedWrites() const { return batchedWrites_.value(); }
-
-    /** Writes currently staged (all interfaces). */
-    unsigned stagedWrites() const { return stagedTotal_; }
 
     ///@}
 

@@ -93,9 +93,6 @@ class FlashSplitter : public Client
      */
     Port &addPort(unsigned tags);
 
-    /** Number of ports created so far. */
-    std::size_t portCount() const { return ports_.size(); }
-
     /** Commands that had to wait for a free controller tag. */
     std::uint64_t queuedCommands() const { return queuedCommands_; }
 

@@ -45,13 +45,6 @@ struct Geometry
         return chips() * blocksPerChip * pagesPerBlock;
     }
 
-    /** Pages per chip. */
-    std::uint64_t
-    pagesPerChip() const
-    {
-        return std::uint64_t(blocksPerChip) * pagesPerBlock;
-    }
-
     /** Raw capacity in bytes. */
     std::uint64_t
     capacityBytes() const

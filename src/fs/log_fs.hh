@@ -248,16 +248,9 @@ class LogFs
     /** Pages whose flash copy stayed uncorrectable and was
      * unmapped; the range reads as zeroes with ok = false. */
     std::uint64_t poisonedPages() const { return poisonedPages_.value(); }
-    /** Retirements that left the free reserve under cleanLowWater. */
-    std::uint64_t reserveAlarms() const { return reserveAlarms_.value(); }
-    /** Cleaner page moves escalated to the serving class under
-     * capacity pressure. */
-    std::uint64_t foregroundAssists() const { return foregroundAssists_.value(); }
     /** Clean passes that parked a victim still holding live pages
      * (relocation failures mid-clean) instead of erasing it. */
     std::uint64_t cleanParks() const { return cleanParks_.value(); }
-    /** File pages trimmed by the index layer. */
-    std::uint64_t trimmedPages() const { return trimmedPages_.value(); }
     ///@}
 
     /** Whether free blocks are at or below the capacity red-line

@@ -359,8 +359,6 @@ class KvRouter
     std::uint64_t writeTimeouts() const { return writeTimeouts_.value(); }
     /** Reads re-sent to another replica after a timeout/error. */
     std::uint64_t retriedReads() const { return retriedReads_.value(); }
-    /** Reads that exhausted their retries and returned Error. */
-    std::uint64_t failedReads() const { return failedReads_.value(); }
     /** Writes acked under a clamped quorum (>= 1 owner skipped as
      * Dead): durable on fewer than the configured W replicas. */
     std::uint64_t degradedWrites() const { return degradedWrites_.value(); }

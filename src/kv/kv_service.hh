@@ -166,8 +166,6 @@ class KvService
     /** Puts shed by a shard at the capacity red line and surfaced
      * to the client as Overloaded with the pressureRetryUs hint. */
     std::uint64_t pressureRejects() const { return pressured_.value(); }
-    /** High-water mark of any client's wait queue. */
-    std::size_t maxQueued() const { return maxQueued_; }
     ///@}
 
   private:

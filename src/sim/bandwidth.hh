@@ -61,9 +61,6 @@ class LatencyRateServer
     /** Time at which the channel next becomes free. */
     Tick busyUntil() const { return busyUntil_; }
 
-    /** Whether the channel is free at @p now. */
-    bool idleAt(Tick now) const { return busyUntil_ <= now; }
-
     /** Total bytes ever pushed through the channel. */
     std::uint64_t totalBytes() const { return totalBytes_; }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics: counters, accumulators and histograms used
- * by models and benchmark harnesses.
+ * Lightweight statistics: the latency histogram used by models and
+ * benchmark harnesses.
  */
 
 #ifndef BLUEDBM_SIM_STATS_HH
@@ -11,106 +11,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace bluedbm {
 namespace sim {
-
-/**
- * Running scalar statistic: count, sum, min, max, mean, stddev.
- */
-class Accumulator
-{
-  public:
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        ++count_;
-        sum_ += v;
-        sumSq_ += v * v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Sum of all samples. */
-    double sum() const { return sum_; }
-
-    /** Arithmetic mean, or 0 with no samples. */
-    double
-    mean() const
-    {
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-    }
-
-    /** Population standard deviation. */
-    double
-    stddev() const
-    {
-        if (count_ == 0)
-            return 0.0;
-        double m = mean();
-        double var = sumSq_ / static_cast<double>(count_) - m * m;
-        return var > 0.0 ? std::sqrt(var) : 0.0;
-    }
-
-    /** Smallest sample (+inf when empty). */
-    double min() const { return min_; }
-
-    /** Largest sample (-inf when empty). */
-    double max() const { return max_; }
-
-    /** Fold another accumulator's samples into this one. */
-    void
-    merge(const Accumulator &o)
-    {
-        count_ += o.count_;
-        sum_ += o.sum_;
-        sumSq_ += o.sumSq_;
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-    }
-
-    /**
-     * Remove an earlier snapshot of *this* accumulator, leaving the
-     * statistics of the samples recorded since. Only valid against
-     * a copy taken from this same accumulator (monotone history);
-     * min/max cannot be un-merged and keep their all-time values.
-     */
-    void
-    subtract(const Accumulator &earlier)
-    {
-        count_ -= earlier.count_;
-        sum_ -= earlier.sum_;
-        sumSq_ -= earlier.sumSq_;
-        if (count_ == 0) {
-            min_ = std::numeric_limits<double>::infinity();
-            max_ = -std::numeric_limits<double>::infinity();
-        }
-    }
-
-    /** Forget all samples. */
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = sumSq_ = 0.0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /**
  * HDR-style latency histogram over integer values (typically ticks).
@@ -138,7 +42,8 @@ class LatencyHistogram
     void
     record(std::uint64_t v)
     {
-        acc_.sample(static_cast<double>(v));
+        ++count_;
+        sum_ += static_cast<double>(v);
         if (v < minExact_)
             minExact_ = v;
         if (v > maxExact_)
@@ -147,23 +52,24 @@ class LatencyHistogram
     }
 
     /** Number of samples recorded. */
-    std::uint64_t count() const { return acc_.count(); }
+    std::uint64_t count() const { return count_; }
 
     /** Exact smallest sample (0 when empty). */
     std::uint64_t
     min() const
     {
-        return acc_.count() == 0 ? 0 : minExact_;
+        return count_ == 0 ? 0 : minExact_;
     }
 
     /** Exact largest sample (0 when empty). */
-    std::uint64_t max() const { return acc_.count() == 0 ? 0 : maxExact_; }
+    std::uint64_t max() const { return count_ == 0 ? 0 : maxExact_; }
 
     /** Exact arithmetic mean (0 when empty). */
-    double mean() const { return acc_.mean(); }
-
-    /** Underlying scalar statistics. */
-    const Accumulator &acc() const { return acc_; }
+    double
+    mean() const
+    {
+        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
+    }
 
     /**
      * Value at quantile @p q in [0,1], within ~0.8% relative error.
@@ -174,7 +80,7 @@ class LatencyHistogram
     std::uint64_t
     quantile(double q) const
     {
-        std::uint64_t n = acc_.count();
+        std::uint64_t n = count_;
         if (n == 0)
             return 0;
         if (q < 0.0)
@@ -211,7 +117,8 @@ class LatencyHistogram
     void
     merge(const LatencyHistogram &o)
     {
-        acc_.merge(o.acc_);
+        count_ += o.count_;
+        sum_ += o.sum_;
         minExact_ = std::min(minExact_, o.minExact_);
         maxExact_ = std::max(maxExact_, o.maxExact_);
         for (std::size_t i = 0; i < counts_.size(); ++i)
@@ -230,10 +137,11 @@ class LatencyHistogram
     void
     subtract(const LatencyHistogram &earlier)
     {
-        acc_.subtract(earlier.acc_);
+        count_ -= earlier.count_;
+        sum_ -= earlier.sum_;
         for (std::size_t i = 0; i < counts_.size(); ++i)
             counts_[i] -= earlier.counts_[i];
-        if (acc_.count() == 0) {
+        if (count_ == 0) {
             minExact_ = ~std::uint64_t(0);
             maxExact_ = 0;
         }
@@ -243,7 +151,8 @@ class LatencyHistogram
     void
     reset()
     {
-        acc_.reset();
+        count_ = 0;
+        sum_ = 0.0;
         minExact_ = ~std::uint64_t(0);
         maxExact_ = 0;
         std::fill(counts_.begin(), counts_.end(), 0);
@@ -295,7 +204,8 @@ class LatencyHistogram
         return lower + (std::uint64_t(1) << (k - subBits)) - 1;
     }
 
-    Accumulator acc_;
+    std::uint64_t count_ = 0;
+    double sum_ = 0.0; //!< of samples, for the exact mean
     std::uint64_t minExact_ = ~std::uint64_t(0);
     std::uint64_t maxExact_ = 0;
     std::vector<std::uint64_t> counts_;

@@ -67,25 +67,11 @@ ticksToUs(Tick t)
     return static_cast<double>(t) / oneUs;
 }
 
-/** Convert ticks to nanoseconds (floating point). */
-constexpr double
-ticksToNs(Tick t)
-{
-    return static_cast<double>(t) / oneNs;
-}
-
 /** Convert ticks to seconds (floating point). */
 constexpr double
 ticksToSec(Tick t)
 {
     return static_cast<double>(t) / oneSec;
-}
-
-/** Bytes per second expressed from a GB/s figure (decimal GB). */
-constexpr double
-gbps(double gigabytes_per_sec)
-{
-    return gigabytes_per_sec * 1e9;
 }
 
 /**

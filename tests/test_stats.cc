@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for counters, accumulators and histograms.
+ * Unit tests for the latency histogram.
  */
 
 #include <gtest/gtest.h>
@@ -13,53 +13,6 @@
 #include "sim/stats.hh"
 
 using namespace bluedbm;
-
-TEST(Accumulator, EmptyIsZero)
-{
-    sim::Accumulator a;
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_EQ(a.mean(), 0.0);
-    EXPECT_EQ(a.stddev(), 0.0);
-}
-
-TEST(Accumulator, MeanMinMax)
-{
-    sim::Accumulator a;
-    for (double v : {2.0, 4.0, 6.0})
-        a.sample(v);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 6.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 12.0);
-}
-
-TEST(Accumulator, StddevOfConstantIsZero)
-{
-    sim::Accumulator a;
-    for (int i = 0; i < 10; ++i)
-        a.sample(5.0);
-    EXPECT_NEAR(a.stddev(), 0.0, 1e-9);
-}
-
-TEST(Accumulator, StddevKnownValue)
-{
-    sim::Accumulator a;
-    // Population stddev of {1,2,3,4} is sqrt(1.25).
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        a.sample(v);
-    EXPECT_NEAR(a.stddev(), std::sqrt(1.25), 1e-9);
-}
-
-TEST(Accumulator, ResetClearsState)
-{
-    sim::Accumulator a;
-    a.sample(1.0);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    a.sample(3.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-}
 
 namespace {
 
@@ -99,6 +52,7 @@ TEST(LatencyHistogram, EmptyIsZero)
 {
     sim::LatencyHistogram h;
     EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.mean(), 0.0);
     EXPECT_EQ(h.quantile(0.5), 0u);
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 0u);
@@ -191,8 +145,11 @@ TEST(LatencyHistogram, ResetClearsState)
     h.record(1000);
     h.reset();
     EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.mean(), 0.0);
     h.record(7);
-    EXPECT_EQ(h.quantile(1.0), 7u);
+    h.record(9);
+    EXPECT_DOUBLE_EQ(h.mean(), 8.0);
+    EXPECT_EQ(h.quantile(1.0), 9u);
 }
 
 TEST(LatencyHistogram, MergeMatchesSingleHistogramOracle)
