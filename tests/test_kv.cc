@@ -1432,9 +1432,9 @@ TEST(KvRouter, FailoverRetryValidatesCachedStamp)
     kv::KvRouter router(sim, cluster, kp);
 
     Key key = 0;
-    while (router.owners(key)[0] == 0 || router.owners(key)[1] == 0)
-        ++key;
     auto own = router.owners(key);
+    while (std::count(own.begin(), own.end(), net::NodeId(0)) != 0)
+        own = router.owners(++key);
     net::NodeId plain = router.readReplica(0, key);
     net::NodeId other = plain == own[0] ? own[1] : own[0];
     router.put(1, key, val(0x3c), [](KvStatus) {});
