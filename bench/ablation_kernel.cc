@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -190,41 +189,90 @@ secondsSince(std::chrono::steady_clock::time_point t0)
  * on every Entry copy in step() -- one extra allocation per event on
  * top of the schedule-time one -- while the pooled queue only ever
  * moves it inside the event slot.
- *
- * With @p Traced, every event also performs the tracer touches an
- * instrumented hop makes when tracing is off: a beginTrace that
- * early-outs on the disabled check plus beginSpan/mark/endSpan on
- * the untraced (0) handle it returned -- exactly the per-hop cost
- * the kv/flash request paths pay for the unsampled majority of
- * operations.
  */
-template <typename Queue, bool Traced = false>
-struct ChainWindow
+template <typename Queue>
+double
+runThroughput()
 {
-    Queue q;
-    sim::Tracer tracer; // default Params: disabled
-    std::uint64_t fired = 0;
-    std::uint64_t completed = 0;
+    struct Ctx
+    {
+        Queue q;
+        std::uint64_t fired = 0;
+    } ctx;
 
     struct Chain
     {
-        ChainWindow *ctx;
+        Ctx *ctx;
         std::function<void()> done;
         std::uint64_t lane;
 
         void
         operator()()
         {
-            ChainWindow *c = ctx;
-            Tick now = c->q.now();
-            if constexpr (Traced) {
-                std::uint64_t h =
-                    c->tracer.beginTrace("ev", now, lane);
-                std::uint64_t s = c->tracer.beginSpan(h, "hop", now);
-                c->tracer.mark(s, "fire", now);
-                c->tracer.endSpan(s, now);
-                c->tracer.endTrace(h, now);
+            Ctx *c = ctx;
+            if (++c->fired + kWindow > kEvents) {
+                if (done)
+                    done();
+                return;
             }
+            c->q.schedule(c->q.now() + spreadTicks(lane + c->fired),
+                          Chain{c, std::move(done), lane});
+        }
+    };
+
+    std::uint64_t completed = 0;
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < kWindow; ++i) {
+        std::uint64_t cookie[3] = {i, i ^ 0x9e3779b9u, i + 17};
+        ctx.q.schedule(spreadTicks(i),
+                       Chain{&ctx,
+                             [&completed, cookie]() {
+                                 completed += cookie[0] & 1;
+                             },
+                             i});
+    }
+    ctx.q.run();
+    double sec = secondsSince(t0);
+    sink = completed;
+    return double(ctx.q.executed()) / sec;
+}
+
+/**
+ * The pooled queue again, but every event also performs the tracer
+ * touches an instrumented hop makes when tracing is off: a
+ * beginTrace that early-outs on the disabled check plus
+ * beginSpan/mark/endSpan on the untraced (0) handle it returned --
+ * exactly the per-hop cost the kv/flash request paths now pay for
+ * the unsampled majority of operations. main() gates the paired
+ * ratio to events_per_sec_pooled (tracing_off_ratio) at >= 0.90.
+ */
+double
+runThroughputTracedOff()
+{
+    struct Ctx
+    {
+        sim::EventQueue q;
+        sim::Tracer tracer; // default Params: disabled
+        std::uint64_t fired = 0;
+    } ctx;
+
+    struct Chain
+    {
+        Ctx *ctx;
+        std::function<void()> done;
+        std::uint64_t lane;
+
+        void
+        operator()()
+        {
+            Ctx *c = ctx;
+            Tick now = c->q.now();
+            std::uint64_t h =
+                c->tracer.beginTrace("ev", now, lane);
+            std::uint64_t s = c->tracer.beginSpan(h, "hop", now);
+            c->tracer.mark(s, "fire", now);
+            c->tracer.endSpan(s, now);
+            c->tracer.endTrace(h, now);
             if (++c->fired + kWindow > kEvents) {
                 if (done)
                     done();
@@ -235,78 +283,21 @@ struct ChainWindow
         }
     };
 
-    /** Schedule the window's kWindow initial events. */
-    void
-    start()
-    {
-        for (std::uint64_t i = 0; i < kWindow; ++i) {
-            std::uint64_t cookie[3] = {i, i ^ 0x9e3779b9u, i + 17};
-            q.schedule(spreadTicks(i),
-                       Chain{this,
-                             [this, cookie]() {
+    std::uint64_t completed = 0;
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < kWindow; ++i) {
+        std::uint64_t cookie[3] = {i, i ^ 0x9e3779b9u, i + 17};
+        ctx.q.schedule(spreadTicks(i),
+                       Chain{&ctx,
+                             [&completed, cookie]() {
                                  completed += cookie[0] & 1;
                              },
                              i});
-        }
     }
-};
-
-/** Events per second of one whole ChainWindow run on @p Queue. */
-template <typename Queue>
-double
-runThroughput()
-{
-    auto w = std::make_unique<ChainWindow<Queue>>();
-    auto t0 = std::chrono::steady_clock::now();
-    w->start();
-    w->q.run();
+    ctx.q.run();
     double sec = secondsSince(t0);
-    sink = w->completed;
-    return double(w->q.executed()) / sec;
-}
-
-/** Events per timed slice of tracingOffRatio(). */
-constexpr std::uint64_t kSlice = 32768;
-
-/**
- * Disabled-tracing cost as a rate ratio, measured in interleaved
- * slices. A plain pooled window and a traced-off one are alive at
- * once and advance through EventQueue::step() in alternating timed
- * slices of kSlice events, swapping which goes first every round,
- * until both drained. Interference on a shared machine comes in
- * bursts far longer than a slice, so it lands on both variants alike
- * instead of on one run of a back-to-back pair. Returns the
- * traced-off rate over the plain rate, each from its summed slice
- * times, and stores the traced-off events/sec in *@p traced_off_rate.
- */
-double
-tracingOffRatio(double *traced_off_rate)
-{
-    auto plain = std::make_unique<ChainWindow<sim::EventQueue>>();
-    auto traced = std::make_unique<ChainWindow<sim::EventQueue, true>>();
-    plain->start();
-    traced->start();
-    double plain_sec = 0.0, traced_sec = 0.0;
-    auto slice = [](auto &w, double &sec) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (std::uint64_t n = 0; n < kSlice && w.q.step(); ++n) {
-        }
-        sec += secondsSince(t0);
-    };
-    for (bool plain_first = true;
-         !plain->q.empty() || !traced->q.empty();
-         plain_first = !plain_first) {
-        if (plain_first) {
-            slice(*plain, plain_sec);
-            slice(*traced, traced_sec);
-        } else {
-            slice(*traced, traced_sec);
-            slice(*plain, plain_sec);
-        }
-    }
-    sink = plain->completed + traced->completed;
-    *traced_off_rate = double(traced->q.executed()) / traced_sec;
-    return *traced_off_rate / (double(plain->q.executed()) / plain_sec);
+    sink = completed;
+    return double(ctx.q.executed()) / sec;
 }
 
 /**
@@ -513,27 +504,32 @@ main()
 
     // Interference on a shared machine only ever slows a run down,
     // so each variant's rate is its best of the interleaved
-    // repetitions (legacy: best of 3, pooled: best of 5). The
-    // tracing-off ratio is the median of three interleaved-slice
-    // measurements (tracingOffRatio), in which both variants see
-    // the same machine slice by slice.
+    // repetitions (legacy: best of 3). The tracing-off ratio is the
+    // median over 5 back-to-back pooled/traced-off pairs, alternating
+    // which variant goes first, so both halves of a pair see the
+    // same machine.
     double legacy_tp = 0.0, pooled_tp = 0.0, traced_off_tp = 0.0;
+    std::vector<double> ratios;
     for (int rep = 0; rep < 5; ++rep) {
         if (rep < 3)
             legacy_tp = std::max(legacy_tp,
                                  runThroughput<LegacyEventQueue>());
-        pooled_tp = std::max(pooled_tp,
-                             runThroughput<sim::EventQueue>());
-    }
-    std::vector<double> ratios;
-    for (int rep = 0; rep < 3; ++rep) {
-        double traced_off = 0.0;
-        ratios.push_back(tracingOffRatio(&traced_off));
+        double pooled = 0.0, traced_off = 0.0;
+        if (rep % 2 == 0) {
+            pooled = runThroughput<sim::EventQueue>();
+            traced_off = runThroughputTracedOff();
+        } else {
+            traced_off = runThroughputTracedOff();
+            pooled = runThroughput<sim::EventQueue>();
+        }
+        pooled_tp = std::max(pooled_tp, pooled);
         traced_off_tp = std::max(traced_off_tp, traced_off);
+        ratios.push_back(traced_off / pooled);
     }
     std::sort(ratios.begin(), ratios.end());
-    std::printf("tracing-off / pooled slice ratios: %.3f %.3f %.3f\n",
-                ratios[0], ratios[1], ratios[2]);
+    std::printf("tracing-off / pooled pair ratios: %.3f %.3f %.3f "
+                "%.3f %.3f\n",
+                ratios[0], ratios[1], ratios[2], ratios[3], ratios[4]);
     double legacy_cc = runCancelChurn<LegacyEventQueue>();
     double pooled_cc = runCancelChurn<sim::EventQueue>();
 
@@ -541,7 +537,7 @@ main()
     counters.emplace_back("events_per_sec_pooled", pooled_tp);
     counters.emplace_back("events_speedup", pooled_tp / legacy_tp);
     counters.emplace_back("events_per_sec_traced_off", traced_off_tp);
-    counters.emplace_back("tracing_off_ratio", ratios[1]);
+    counters.emplace_back("tracing_off_ratio", ratios[2]);
     counters.emplace_back("cancel_events_per_sec_legacy", legacy_cc);
     counters.emplace_back("cancel_events_per_sec_pooled", pooled_cc);
     counters.emplace_back("cancel_speedup", legacy_cc > 0

@@ -1725,9 +1725,9 @@ KvRouter::repairKey(std::shared_ptr<SweepState> state, Key key,
     // serving read behind it.
     shards_[from]->get(
         key,
-        [this, key, to, stamp, alive = alive_,
+        [this, key, to, alive = alive_,
          finish = std::move(finish)](PageBuffer v, KvStatus st,
-                                     std::uint64_t) mutable {
+                                     std::uint64_t read_stamp) mutable {
         if (!*alive)
             return;
         if (st != KvStatus::Ok) {
@@ -1735,7 +1735,10 @@ KvRouter::repairKey(std::shared_ptr<SweepState> state, Key key,
             finish(KvStatus::Error);
             return;
         }
-        shards_[to]->repairPut(key, std::move(v), stamp,
+        // Push under the stamp of the bytes read, as the read-path
+        // heal does: a stored (stamp, bytes) pair must match on
+        // every replica for a cached stamp to validate anywhere.
+        shards_[to]->repairPut(key, std::move(v), read_stamp,
                                std::move(finish));
     },
         flash::Priority::Background);
@@ -1748,9 +1751,13 @@ KvRouter::finishGet(PendingOp fin)
     KvCache *cache = cacheFor(fin.origin);
     if (fin.status == KvStatus::Ok && fin.cachedStamp != 0 &&
         fin.stamp == fin.cachedStamp) {
-        // "Not modified": the replica confirmed our cached copy.
+        // "Not modified": the replica confirmed the stamp we sent.
+        // Serve only if the entry still holds that stamp: a slower
+        // get issued before a write may have refilled it with older
+        // bytes while this validation was in flight.
         if (cache) {
-            if (const KvCache::Entry *e = cache->lookup(fin.key)) {
+            const KvCache::Entry *e = cache->lookup(fin.key);
+            if (e && e->stamp == fin.stamp) {
                 cacheServed_.inc();
                 sim_.tracer().mark(fin.routeSpan, "cache.hit", now);
                 sim_.tracer().endSpan(fin.routeSpan, now);
@@ -1758,10 +1765,11 @@ KvRouter::finishGet(PendingOp fin)
                 return;
             }
         }
-        // Evicted while the validation was in flight (rare): fall
-        // back to a plain fetch, which cannot loop -- the entry is
-        // gone, so the retry goes out unconditional. The re-issue
-        // opens a fresh route span under the original parent.
+        // Evicted or refilled meanwhile (rare): fetch again,
+        // conditional on whatever the entry holds now. It repeats
+        // only if the entry changes under every re-issue. The
+        // re-issue opens a fresh route span under the original
+        // parent.
         sim_.tracer().endSpan(fin.routeSpan, now);
         get(fin.origin, fin.key, std::move(fin.getDone), fin.trace);
         return;

@@ -40,7 +40,10 @@
  * stamp) pair the get goes out conditional -- the replica answers
  * a stamp match with a header-only "not modified" and the cached
  * value is served locally, skipping the flash read AND the value
- * bytes on the wire. See kv_cache.hh for the coherence argument. A
+ * bytes on the wire. The value serves only if the entry still holds
+ * the confirmed stamp when the reply lands: a slower get issued
+ * before a write may have refilled it with older bytes meanwhile.
+ * See kv_cache.hh for the coherence argument. A
  * stamp names one write on every replica, so steered reads,
  * failover retries and reads after a ring flip validate and fill
  * the cache like any other remote get.
@@ -660,7 +663,9 @@ class KvRouter
                     const net::NodeId *own, unsigned count,
                     std::uint64_t lo, std::uint64_t hi,
                     bool may_prune);
-    /** Push @p key's newer side (@p from, at @p stamp) to @p to. */
+    /** Push @p key's newer side from @p from to @p to: a tombstone
+     * at @p stamp, or the bytes read off @p from under the stamp
+     * that read returned. */
     void repairKey(std::shared_ptr<SweepState> state, Key key,
                    net::NodeId from, net::NodeId to,
                    std::uint64_t stamp, bool live);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <vector>
 
@@ -1464,6 +1465,96 @@ TEST(KvRouter, FailoverRetryValidatesCachedStamp)
     EXPECT_EQ(router.retriedReads(), 1u);
     EXPECT_EQ(router.shard(other).validatedGets(), validated + 1);
     EXPECT_EQ(router.cacheServedGets(), served + 1);
+}
+
+TEST(KvRouter, LatePreWriteFillKeepsReadYourWrites)
+{
+    // A get issued before a write can land after the writer's
+    // read-back refilled the cache, putting the old bytes back under
+    // the old stamp. A read-back conditional on the new stamp is in
+    // flight at that moment; its "not modified" confirms a stamp the
+    // entry no longer holds and must not serve the entry.
+    sim::Simulator sim;
+    core::Cluster cluster(sim, kvCluster(4));
+    kv::KvParams kp = memberParams(1, 5000);
+    kp.cacheSlots = 64;
+    kv::KvRouter router(sim, cluster, kp);
+
+    Key key = 0;
+    auto own = router.owners(key);
+    while (std::count(own.begin(), own.end(), net::NodeId(0)) != 0)
+        own = router.owners(++key);
+    net::NodeId straggler = router.readReplica(0, key);
+    net::NodeId acker = straggler == own[0] ? own[1] : own[0];
+    router.put(1, key, val(0x20), [](KvStatus) {});
+    sim.run();
+    // Two gets make the key hot in node 0's admission sketch; node
+    // 0's own put then drops its entry, so its next get fetches.
+    for (int i = 0; i < 2; ++i) {
+        router.get(0, key, [](PageBuffer, KvStatus) {});
+        sim.run();
+    }
+    router.put(0, key, val(0x21), [](KvStatus) {});
+    sim.run();
+    ASSERT_EQ(router.cache(0)->size(), 0u);
+
+    // The pre-write get goes to the plain pick, whose flash holds
+    // the read for 1 ms.
+    bool held = false;
+    cluster.node(straggler).hostServer(0).setReadFault(
+        [&held](const flash::Address &) {
+        flash::FlashServer::ReadFaultAction act;
+        if (!held) {
+            held = true;
+            act.delayTicks = sim::usToTicks(1000);
+        }
+        return act;
+    });
+    bool landed = false;
+    unsigned draining_at_land = 0;
+    router.get(0, key, [&](PageBuffer v, KvStatus st) {
+        EXPECT_EQ(st, KvStatus::Ok);
+        EXPECT_EQ(v, val(0x21));
+        landed = true;
+        draining_at_land = router.backgroundWrites();
+    });
+    sim.runUntil(sim.now() + sim::usToTicks(20));
+    ASSERT_TRUE(held);
+
+    // The straggler is down while the put's request arrives and back
+    // before its held read is released: the put acks off the other
+    // owner alone and stays in flight toward the straggler until its
+    // timeout, so node 0's read-backs are steered to the acker.
+    router.killNode(straggler);
+    sim.scheduleAfter(sim::usToTicks(500),
+                      [&]() { router.reviveNode(straggler); });
+    // From the ack on, node 0 reads the key back with one get in
+    // flight at a time, until two reads after the pre-write get
+    // landed.
+    unsigned reads = 0, wrong = 0, after_land = 0;
+    std::uint64_t validated = router.shard(acker).validatedGets();
+    std::function<void()> read_back = [&]() {
+        router.get(0, key, [&](PageBuffer v, KvStatus st) {
+            ++reads;
+            if (st != KvStatus::Ok || v != val(0x22))
+                ++wrong;
+            if (!landed || ++after_land < 2)
+                read_back();
+        });
+    };
+    router.put(0, key, val(0x22), [&](KvStatus st) {
+        EXPECT_EQ(st, KvStatus::Ok);
+        EXPECT_EQ(router.readReplica(0, key), acker);
+        read_back();
+    });
+    sim.run();
+    cluster.node(straggler).hostServer(0).setReadFault(nullptr);
+
+    EXPECT_TRUE(landed);
+    EXPECT_EQ(draining_at_land, 1u);
+    EXPECT_GT(reads, 2u);
+    EXPECT_GT(router.shard(acker).validatedGets(), validated);
+    EXPECT_EQ(wrong, 0u);
 }
 
 TEST(KvRouter, KillRebuildDrainsDivergence)
