@@ -6,11 +6,20 @@
  * A Lane is one direction of a serial cable: a latency-rate wire plus
  * a receiver buffer whose occupancy is governed by byte credits. The
  * sender may only place a message on the wire when the receiver has
- * buffer space; credits return to the sender (after the wire latency)
- * when the receiver forwards the message onward. This provides
- * loss-free backpressure across the link exactly like the paper's
- * token scheme: if a receiver stops draining, the sender's queue
- * grows and upstream traffic stalls.
+ * buffer space; when the receiver forwards a message onward, its
+ * credits count at the sender again one hop latency later. This
+ * provides loss-free backpressure across the link exactly like the
+ * paper's token scheme: if a receiver stops draining, the sender's
+ * queue grows and upstream traffic stalls.
+ *
+ * A credit return is a record, not an event: it holds the position
+ * (tick and sequence number) an event scheduled at release time
+ * would have taken, and counts once execution has passed it. Only a
+ * message waiting for credit costs an event, a wake-up at the first
+ * pending return's own position. A hop over a lane with room costs
+ * one event, its delivery, and the firing order and clock stay those
+ * of an event per return (docs/kernel.md, "Lane credits without
+ * events").
  */
 
 #ifndef BLUEDBM_NET_LINK_HH
@@ -20,6 +29,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "net/message.hh"
 #include "sim/bandwidth.hh"
@@ -98,16 +108,19 @@ class Lane
 
     /**
      * Return credits for @p bytes of receiver buffer. Called by the
-     * receiver when a message leaves its buffer; the token flows back
-     * over the reverse direction and arrives after the hop latency.
+     * receiver when a message leaves its buffer. The token crosses
+     * the reverse direction in one hop latency: the bytes count from
+     * the position an event scheduled now for then would take, and
+     * a wake-up event is scheduled there only if a message waits.
      */
     void releaseCredits(std::uint32_t bytes);
 
     /** Messages waiting for credits or wire. */
     std::size_t queued() const { return queue_.size(); }
 
-    /** Bytes of receiver buffer currently available to this sender. */
-    std::uint32_t credits() const { return credits_; }
+    /** Bytes of receiver buffer currently available to this sender,
+     * counting every return whose position has been passed. */
+    std::uint32_t credits() const;
 
     /** Total payload bytes delivered. */
     std::uint64_t deliveredBytes() const { return deliveredBytes_; }
@@ -128,8 +141,12 @@ class Lane
     }
 
   private:
-    /** Try to start transmitting queued messages. */
-    void pump();
+    /** Credits on their way back: they count from @ref at on. */
+    struct Return
+    {
+        sim::EventPos at;
+        std::uint32_t bytes;
+    };
 
     struct Pending
     {
@@ -137,11 +154,25 @@ class Lane
         HopHook onStart;
     };
 
+    /** Add every return whose position has been passed to credits_. */
+    void collectReturns();
+    /** Start transmitting queued messages; the wake-up's body. */
+    void pump();
+    /** Schedule a wake-up at the first pending return if a message
+     * waits and none is scheduled. */
+    void armWake();
+    /** Take credits for @p msg and put it on the wire. */
+    void transmit(Message msg, HopHook &on_start);
+
     sim::Simulator &sim_;
     LaneParams params_;
     sim::LatencyRateServer wire_;
     Deliver deliver_;
     std::deque<Pending> queue_;
+    /** Pending returns in position order (release order); the vector
+     * keeps its capacity, so steady state allocates nothing. */
+    std::vector<Return> returns_;
+    bool wakeArmed_ = false;
     std::uint32_t credits_;
     std::uint64_t deliveredBytes_ = 0;
     std::uint64_t deliveredMsgs_ = 0;

@@ -28,6 +28,11 @@ Endpoint::send(NodeId dst, std::uint32_t bytes, PayloadRef payload)
     msg.payload = std::move(payload);
     msg.headArrival = net_.sim_.now();
     ++sent_;
+    if (e2eCredits_ == 0) {
+        // No end-to-end credit to wait for: straight to the lane.
+        net_.inject(std::move(msg));
+        return;
+    }
     sendQueue_.push_back(std::move(msg));
     pumpSend();
 }
@@ -37,13 +42,11 @@ Endpoint::pumpSend()
 {
     while (!sendQueue_.empty()) {
         Message &head = sendQueue_.front();
-        if (e2eCredits_ > 0) {
-            unsigned &avail = e2eAvail_[head.dst];
-            if (avail == 0)
-                return; // wait for a credit to come back
-            --avail;
-            head.flowControlled = true;
-        }
+        unsigned &avail = e2eAvail_[head.dst];
+        if (avail == 0)
+            return; // wait for a credit to come back
+        --avail;
+        head.flowControlled = true;
         Message msg = std::move(head);
         sendQueue_.pop_front();
         net_.inject(std::move(msg));

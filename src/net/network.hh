@@ -123,7 +123,7 @@ class Endpoint
     {
     }
 
-    /** Try to inject queued messages into the network. */
+    /** Inject queued messages while end-to-end credits allow. */
     void pumpSend();
 
     /** Called by the network when a message arrives for us. */
@@ -146,7 +146,7 @@ class Endpoint
     Handler handler_;
     bool drainScheduled_ = false; //!< auto-drain event pending
 
-    std::deque<Message> sendQueue_;
+    std::deque<Message> sendQueue_; //!< waiting for end-to-end credit
     struct Parked
     {
         Message msg;

@@ -241,6 +241,37 @@ EventQueue::prepareHead()
     }
 }
 
+std::uint32_t
+EventQueue::takeSeq()
+{
+    std::uint32_t seq = nextSeq_++;
+    if (seq == noSeq) // sentinel is never a live seq
+        seq = nextSeq_++;
+    return seq;
+}
+
+EventId
+EventQueue::place(EventPos at, Callback fn, bool reserved)
+{
+    if (!fn)
+        panic("scheduling an empty callback");
+    std::uint32_t slot = acquireSlot();
+    fns_[slot].fn = std::move(fn);
+    meta_[slot].activeSeq = at.seq;
+    meta_[slot].when = at.when;
+    Rec rec{at.when, at.seq, slot};
+    if (reserved && at.when == curTick_) {
+        // A reserved seq is older than the fresh ones nowQ_'s append
+        // order relies on: sort it in among this tick's records from
+        // earlier ticks, which all sit in the bottom.
+        insertBottom(rec);
+    } else {
+        insertRecord(rec);
+    }
+    ++liveEvents_;
+    return (static_cast<EventId>(slot) << 32) | meta_[slot].gen;
+}
+
 EventId
 EventQueue::schedule(Tick when, Callback fn)
 {
@@ -248,18 +279,28 @@ EventQueue::schedule(Tick when, Callback fn)
         panic("scheduling event in the past: when=%llu now=%llu",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick_));
-    if (!fn)
-        panic("scheduling an empty callback");
-    std::uint32_t slot = acquireSlot();
-    fns_[slot].fn = std::move(fn);
-    std::uint32_t seq = nextSeq_++;
-    if (seq == noSeq) // sentinel is never a live seq
-        seq = nextSeq_++;
-    meta_[slot].activeSeq = seq;
-    meta_[slot].when = when;
-    insertRecord(Rec{when, seq, slot});
-    ++liveEvents_;
-    return (static_cast<EventId>(slot) << 32) | meta_[slot].gen;
+    return place(EventPos{when, takeSeq()}, std::move(fn), false);
+}
+
+EventPos
+EventQueue::reserve(Tick when)
+{
+    if (when < curTick_)
+        panic("reserving a position in the past: when=%llu now=%llu",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(curTick_));
+    reservedUntil_ = std::max(reservedUntil_, when);
+    return EventPos{when, takeSeq()};
+}
+
+EventId
+EventQueue::scheduleReserved(EventPos at, Callback fn)
+{
+    if (reached(at))
+        panic("scheduling at a passed position: when=%llu now=%llu",
+              static_cast<unsigned long long>(at.when),
+              static_cast<unsigned long long>(curTick_));
+    return place(at, std::move(fn), true);
 }
 
 bool
@@ -307,6 +348,8 @@ EventQueue::step()
         bottom_.pop_back();
     }
     curTick_ = rec.when;
+    curSeq_ = rec.seq;
+    tickDone_ = false;
     // Move the callback out of its slot and recycle the slot *before*
     // running: the callback may freely schedule into or cancel from
     // the queue (including reusing this very slot).
@@ -330,10 +373,16 @@ EventQueue::runUntil(Tick limit)
                                : bottom_.back().when;
         if (when > limit) {
             curTick_ = limit;
+            tickDone_ = true;
             return curTick_;
         }
         step();
     }
+    // Drained: the last reserved tick is where the last event would
+    // have run had each reservation been one.
+    if (reservedUntil_ > curTick_)
+        curTick_ = std::min(reservedUntil_, limit);
+    tickDone_ = true;
     return curTick_;
 }
 

@@ -69,6 +69,16 @@
  * than 2^31 schedules separate them, which holds for any realistic
  * pending set. Same-seed runs are bit-reproducible regardless.
  *
+ * ## Reserved positions
+ *
+ * reserve() takes a position -- a tick and the next seq -- without
+ * scheduling anything; scheduleReserved() may later place an event
+ * exactly there, and reached() says whether execution has passed it.
+ * A model can keep a state change as a record and pay for an event
+ * only when something waits on it, while every other event keeps its
+ * seq and a drained run still ends on the latest reserved tick
+ * (net::Lane's credit returns; docs/kernel.md).
+ *
  * ## Zero-allocation invariant
  *
  * After warm-up (steady-state pending count reached), schedule(),
@@ -102,6 +112,14 @@ using EventId = std::uint64_t;
 /** Sentinel meaning "no event". */
 constexpr EventId invalidEventId = 0;
 
+/** A place in the firing order: a tick and a schedule sequence
+ * number (see EventQueue::reserve()). */
+struct EventPos
+{
+    Tick when;
+    std::uint32_t seq;
+};
+
 /** Slot index an EventId refers to (diagnostics / tests). */
 constexpr std::uint32_t
 eventIdSlot(EventId id)
@@ -119,8 +137,10 @@ eventIdGeneration(EventId id)
 /**
  * Time-ordered queue of callbacks.
  *
- * Within one tick, events run in the order they were scheduled, so the
- * simulation is fully deterministic for a given seed and schedule.
+ * Within one tick, events run in the order they were scheduled (an
+ * event on a reserved position: in the order its position was
+ * reserved), so the simulation is fully deterministic for a given
+ * seed and schedule.
  */
 class EventQueue
 {
@@ -143,6 +163,39 @@ class EventQueue
      * @return a handle usable with cancel()
      */
     EventId schedule(Tick when, Callback fn);
+
+    /**
+     * Take the position an event scheduled now at @p when would get,
+     * without scheduling one. The sequence number is used up either
+     * way, and @p when counts as an event tick for the clock (see
+     * runUntil()).
+     */
+    EventPos reserve(Tick when);
+
+    /**
+     * Schedule @p fn at a position taken by reserve(). It runs where
+     * an event scheduled at reserve() time would have run, even on
+     * the current tick behind events queued since.
+     *
+     * @param at reserved position, holding no other event; must not
+     *           be reached() yet
+     */
+    EventId scheduleReserved(EventPos at, Callback fn);
+
+    /**
+     * Whether execution has passed @p at: an event there would
+     * already have run. Inside an event or after step(), positions up
+     * to and including the last event's are passed; after run() or
+     * runUntil(), every position at or before now() is.
+     */
+    bool
+    reached(EventPos at) const
+    {
+        if (at.when != curTick_)
+            return at.when < curTick_;
+        return tickDone_ ||
+               static_cast<std::int32_t>(at.seq - curSeq_) <= 0;
+    }
 
     /**
      * Cancel a previously scheduled event in O(1).
@@ -172,7 +225,9 @@ class EventQueue
     /**
      * Run events until the queue drains or @p limit is reached.
      *
-     * Events scheduled exactly at @p limit still execute.
+     * Events scheduled exactly at @p limit still execute. A drained
+     * queue leaves now() at the latest reserved tick if that is
+     * later, capped at @p limit.
      *
      * @param limit inclusive time bound
      * @return the tick at which execution stopped
@@ -262,6 +317,10 @@ class EventQueue
 
     std::uint32_t acquireSlot();
     void retireSlot(std::uint32_t slot);
+    /** Next schedule sequence number (skips the noSeq sentinel). */
+    std::uint32_t takeSeq();
+    /** Store @p fn in a slot and file its record at @p at. */
+    EventId place(EventPos at, Callback fn, bool reserved);
 
     /** Whether @p nd is the current occupant of its slot. */
     bool
@@ -317,6 +376,14 @@ class EventQueue
     bool headInNow_ = false;
 
     Tick curTick_ = 0;
+    /** Seq of the last event run; noSeq (wrap-aware: just before
+     * seq 0) until one has. */
+    std::uint32_t curSeq_ = noSeq;
+    /** Whether every position at curTick_ is passed (a run ended
+     * there), not only those up to curSeq_. */
+    bool tickDone_ = false;
+    /** Latest tick ever reserved: where a drained run leaves now(). */
+    Tick reservedUntil_ = 0;
     std::uint32_t nextSeq_ = 0;
     std::uint64_t liveEvents_ = 0;
     std::uint64_t executed_ = 0;

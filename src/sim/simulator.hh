@@ -51,6 +51,20 @@ class Simulator
         return events_.schedule(now() + delay, std::move(fn));
     }
 
+    /** Take the position an event scheduled now at @p when would
+     * get, without scheduling one (EventQueue::reserve()). */
+    EventPos reserve(Tick when) { return events_.reserve(when); }
+
+    /** Schedule @p fn at a position taken by reserve(). */
+    EventId
+    scheduleReserved(EventPos at, EventQueue::Callback fn)
+    {
+        return events_.scheduleReserved(at, std::move(fn));
+    }
+
+    /** Whether execution has passed position @p at. */
+    bool reached(EventPos at) const { return events_.reached(at); }
+
     /** Cancel a scheduled event; true if it had not fired. */
     bool cancel(EventId id) { return events_.cancel(id); }
 

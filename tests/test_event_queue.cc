@@ -408,7 +408,11 @@ TEST(EventQueueLadder, GenerationExhaustionByFiringRetiresSlot)
  * the order the replaced 4-ary heap produced) through the same
  * seeded schedule/cancel/pop churn, and require identical execution
  * order throughout. This is the determinism contract the
- * BENCH_paper.json bit-identity gate rests on.
+ * BENCH_paper.json bit-identity gate rests on. The churn also
+ * reserves positions and schedules on them later (or finds them
+ * passed): a reserved event must fire where an event scheduled at
+ * reserve time would have, including on the current tick behind
+ * same-tick events queued since.
  */
 TEST(EventQueueLadder, MatchesHeapOrderOracleUnderSeededChurn)
 {
@@ -443,12 +447,30 @@ TEST(EventQueueLadder, MatchesHeapOrderOracleUnderSeededChurn)
     std::vector<int> fired;
     int nextTag = 0;
 
+    struct Reserved
+    {
+        sim::EventPos pos;
+        std::uint64_t seq;
+    };
+    std::vector<Reserved> reserved;
+    int filledOnCurrentTick = 0;
+    int foundPassed = 0;
+    // Position of the last event fired, in the reference's terms.
+    bool anyFired = false;
+    RefEv last{0, 0, -1};
+    auto passed = [&](const Reserved &r) {
+        return anyFired && !before(RefEv{last.when, last.seq, -1},
+                                   RefEv{r.pos.when, r.seq, -1});
+    };
+
     auto popBoth = [&]() {
         bool stepped = q.step();
         ASSERT_EQ(stepped, !ref.empty());
         if (!stepped)
             return;
         auto it = ref.begin();
+        anyFired = true;
+        last = *it;
         ASSERT_EQ(q.now(), it->when);
         ASSERT_FALSE(fired.empty());
         ASSERT_EQ(fired.back(), it->tag);
@@ -462,22 +484,54 @@ TEST(EventQueueLadder, MatchesHeapOrderOracleUnderSeededChurn)
         ref.erase(it);
     };
 
+    // Delays spanning same-tick bursts to epoch-crossing far-future
+    // timers.
+    auto delay = [&rnd]() -> Tick {
+        std::uint64_t pick = rnd() % 5;
+        return pick == 0 ? 0
+            : pick == 1  ? rnd() % 64
+            : pick == 2  ? rnd() % 8192
+            : pick == 3  ? rnd() % 1000000
+                         : rnd() % 1000000000000ull;
+    };
+
     for (int round = 0; round < 30000; ++round) {
         unsigned r = unsigned(rnd() % 100);
-        if (r < 50 || live.size() < 4) {
-            // Schedule with delays spanning same-tick bursts to
-            // epoch-crossing far-future timers.
-            std::uint64_t pick = rnd() % 5;
-            Tick delay = pick == 0 ? 0
-                : pick == 1        ? rnd() % 64
-                : pick == 2        ? rnd() % 8192
-                : pick == 3        ? rnd() % 1000000
-                                   : rnd() % 1000000000000ull;
-            Tick when = q.now() + delay;
+        if (r < 45 || live.size() < 4) {
+            Tick when = q.now() + delay();
             int tag = nextTag++;
             sim::EventId id = q.schedule(
                 when, [tag, &fired] { fired.push_back(tag); });
             auto it = ref.insert(RefEv{when, refSeq++, tag});
+            live.push_back(Live{id, tag, it});
+        } else if (r < 50) {
+            // Short delays, so that many reservations are filled
+            // on the tick they name.
+            Tick when = q.now() + (rnd() % 2 ? 0 : rnd() % 64);
+            reserved.push_back(Reserved{q.reserve(when), refSeq++});
+        } else if (r < 58 && !reserved.empty()) {
+            // The newest reservation half the time: it is the one
+            // most likely to be still ahead on the current tick.
+            std::size_t k = rnd() % 2
+                ? reserved.size() - 1
+                : std::size_t(rnd() % reserved.size());
+            Reserved res = reserved[k];
+            reserved[k] = reserved.back();
+            reserved.pop_back();
+            ASSERT_EQ(q.reached(res.pos), passed(res));
+            if (passed(res)) {
+                ++foundPassed;
+                continue;
+            }
+            auto later = ref.lower_bound(
+                RefEv{res.pos.when, res.seq + 1, -1});
+            if (res.pos.when == q.now() && later != ref.end() &&
+                later->when == res.pos.when)
+                ++filledOnCurrentTick; // jumps same-tick events
+            int tag = nextTag++;
+            sim::EventId id = q.scheduleReserved(
+                res.pos, [tag, &fired] { fired.push_back(tag); });
+            auto it = ref.insert(RefEv{res.pos.when, res.seq, tag});
             live.push_back(Live{id, tag, it});
         } else if (r < 72 && !live.empty()) {
             std::size_t k = std::size_t(rnd() % live.size());
@@ -498,4 +552,64 @@ TEST(EventQueueLadder, MatchesHeapOrderOracleUnderSeededChurn)
     }
     EXPECT_FALSE(q.step());
     EXPECT_TRUE(q.empty());
+    // The churn really took both reservation paths.
+    EXPECT_GT(filledOnCurrentTick, 20);
+    EXPECT_GT(foundPassed, 200);
+}
+
+TEST(EventQueueLadder, ReservedPositionOnCurrentTickPrecedesLaterSchedules)
+{
+    // A and B and E are queued for tick 10 from outside. A reserves
+    // a position on tick 10, then schedules C and D there (same-tick
+    // FIFO). B fills the reservation: it must fire after E, whose
+    // seq is older, and before C and D, which were queued first but
+    // took their seqs after the reservation.
+    EventQueue q;
+    std::vector<char> order;
+    sim::EventPos pos{0, 0};
+    q.schedule(10, [&] {
+        order.push_back('A');
+        pos = q.reserve(q.now());
+        EXPECT_FALSE(q.reached(pos));
+        q.schedule(q.now(), [&] { order.push_back('C'); });
+        q.schedule(q.now(), [&] { order.push_back('D'); });
+    });
+    q.schedule(10, [&] {
+        order.push_back('B');
+        q.scheduleReserved(pos, [&] {
+            order.push_back('R');
+            EXPECT_TRUE(q.reached(pos)); // its own position
+        });
+    });
+    q.schedule(10, [&] { order.push_back('E'); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'E', 'R', 'C', 'D'}));
+}
+
+TEST(EventQueue, DrainedRunEndsOnLatestReservedTick)
+{
+    // A reservation counts as an event tick for the clock: a run
+    // that drains the queue ends where an event there would have
+    // left it.
+    EventQueue q;
+    q.schedule(10, [&q] { (void)q.reserve(50); });
+    EXPECT_EQ(q.run(), 50u);
+    EXPECT_EQ(q.now(), 50u);
+    EXPECT_TRUE(q.reached(sim::EventPos{50, 0}));
+
+    // ... but never past the limit of runUntil().
+    EventQueue r;
+    r.schedule(10, [&r] { (void)r.reserve(80); });
+    EXPECT_EQ(r.runUntil(30), 30u);
+    EXPECT_EQ(r.runUntil(100), 80u);
+    EXPECT_EQ(r.executed(), 1u);
+}
+
+TEST(EventQueueDeath, SchedulingAtAPassedPositionPanics)
+{
+    EventQueue q;
+    sim::EventPos pos = q.reserve(5);
+    q.schedule(5, [] {});
+    q.run();
+    EXPECT_DEATH(q.scheduleReserved(pos, [] {}), "passed position");
 }

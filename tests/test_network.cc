@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <vector>
 
 #include "net/network.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 
 using namespace bluedbm;
@@ -305,6 +307,87 @@ TEST(Network, ManyToOneKeepsAllData)
     }
     sim.run();
     EXPECT_EQ(got, 8 * 50);
+}
+
+TEST(Network, IdleTwoHopMessageCostsDeliveriesAndDrainOnly)
+{
+    // Two hops on an idle ring: one delivery event per hop and one
+    // drain at the receiver. Neither hop's credit return is an event.
+    sim::Simulator sim;
+    StorageNetwork net(sim, Topology::ring(4), defaultParams());
+    ASSERT_EQ(net.routeHops(1, 0, 2), 2u);
+    int got = 0;
+    net.endpoint(2, 1).setReceiveHandler([&](Message) { ++got; });
+    net.endpoint(0, 1).send(2, 512, {});
+    sim.run();
+    EXPECT_EQ(got, 1);
+    EXPECT_EQ(sim.eventsExecuted(), 3u);
+}
+
+TEST(Network, CreditBoundStreamsPinDeliveryTimes)
+{
+    // Three sources on a 4-node line stream 300-1,500 B messages
+    // into one sink endpoint that holds two messages and drains one
+    // at a time on seeded delays. Parked messages hold lane 2->3's
+    // 2 KB of credit, so every lane into the sink runs dry and sends
+    // meet returning credits on the same tick. The digest pins each
+    // delivery's (tick, source, sequence number) and the clock pins
+    // where the last credit return left it: a credit that counts on
+    // another tick moves one of them. (The order within a tick is
+    // Lane.MatchesEventPerReturnModelUnderSeededTraffic's to pin.)
+    sim::Simulator sim;
+    StorageNetwork::Params p;
+    p.lane.bufferBytes = 2048;
+    // 1 B/ns and whole-100 B messages keep every tick on a 20 ns grid
+    // with the hop latency and the seeded delays, so events of
+    // different chains meet on one tick.
+    p.lane.physBytesPerSec = 1e9;
+    p.lane.efficiency = 1.0;
+    p.recvCapacity = 2;
+    StorageNetwork net(sim, Topology::line(4), p);
+    sim::Rng rng(5);
+    const int per_source = 150;
+    const int total = 3 * per_source;
+    auto grid = [&rng](std::uint64_t max_steps) {
+        return sim::nsToTicks(20.0 * double(rng.below(max_steps + 1)));
+    };
+
+    int sent[3] = {0, 0, 0};
+    std::function<void(NodeId)> stream = [&](NodeId src) {
+        std::uint32_t bytes = 100 * std::uint32_t(rng.range(3, 15));
+        net.endpoint(src, 1).send(3, bytes, sent[src]++);
+        if (sent[src] < per_source)
+            sim.scheduleAfter(grid(40), [&stream, src] { stream(src); });
+    };
+    for (NodeId src = 0; src < 3; ++src)
+        sim.scheduleAt(grid(10), [&stream, src] { stream(src); });
+
+    Endpoint &rx = net.endpoint(3, 1);
+    int delivered = 0;
+    int next_seq[3] = {0, 0, 0};
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    auto mix = [&digest](std::uint64_t v) {
+        digest = (digest ^ v) * 0x100000001b3ull;
+    };
+    std::function<void()> drain = [&]() {
+        if (auto m = rx.receive()) {
+            int seq = m->payload.take<int>();
+            EXPECT_EQ(seq, next_seq[m->src]++) << "source " << m->src;
+            mix(sim.now());
+            mix(m->src);
+            mix(std::uint64_t(seq));
+            ++delivered;
+        }
+        if (delivered < total)
+            sim.scheduleAfter(grid(60), [&drain] { drain(); });
+    };
+    sim.scheduleAt(grid(10), [&drain] { drain(); });
+
+    sim.run();
+    EXPECT_EQ(delivered, total);
+    EXPECT_EQ(digest, 0x9189a153ecc0657aull);
+    // At this seed the last credit return, not a drain, ends the run.
+    EXPECT_EQ(sim.now(), 417400000ull);
 }
 
 TEST(Network, RoutingMemoryIndependentOfEndpointCount)
